@@ -7,10 +7,8 @@ match, 1 a mismatch was found, 2 usage or configuration error.
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -86,8 +84,9 @@ def check_borodin(pi, max_weight, budget):
 
 
 def check_qt_borodin(pi, max_weight, qt_degree, budget):
+    counts = cylindric.borodin_lhs(pi, max_weight)
+    budget.spend(sum(counts))
     lhs = qtseries.qt_borodin_lhs(pi, max_weight, qt_degree)
-    budget.spend(len(cylindric.enumerate_cpps(pi, max_weight)))
     rhs = qtseries.qt_borodin_rhs(pi, max_weight, qt_degree)
     out = []
     for key in sorted(set(lhs) | {k for k in rhs if rhs[k]}):
@@ -100,7 +99,6 @@ def check_qt_borodin(pi, max_weight, qt_degree, budget):
             )
         )
     collapsed = qtseries.collapse_t_to_q(lhs)
-    counts = cylindric.borodin_lhs(pi, max_weight)
     for w in range(max_weight + 1):
         out.append(
             record(
@@ -304,11 +302,9 @@ def standard_count(la):
         return 1
     total = 0
     for row in range(1, len(la) + 1):
-        try:
-            smaller = partitions.remove_box(la, row)
-        except AssertionError:
-            continue
-        total += standard_count(smaller)
+        # a box comes off row only at a corner
+        if row == len(la) or la[row - 1] > la[row]:
+            total += standard_count(partitions.remove_box(la, row))
     return total
 
 
@@ -768,13 +764,7 @@ def _run(args, budget):
             else:
                 sys.stdout.write(text)
             return 0
-        tasks = build_tasks(args, budget)
-        threads = int(os.environ.get("PARTITION_FORGE_THREADS", "1"))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(lambda t: t[1](), tasks))
-        else:
-            chunks = [fn() for _, fn in tasks]
+        chunks = [fn() for _, fn in build_tasks(args, budget)]
     except CapExceeded as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -301,12 +301,8 @@ def burge_inverse(t, tp):
     perm = reverse_robinson(value, position)
     big = permutation_matrix(perm)
     row_sums, col_sums = chain_content(t), chain_content(tp)
-    # undo the Burge hand-out order by re-counting block by block
-    return block_decode_burge(big, row_sums, col_sums)
-
-
-def block_decode_burge(big, row_sums, col_sums):
-    """Counting ones per block is hand-out-order independent."""
+    # undo the Burge hand-out order by re-counting block by block, which
+    # does not depend on the order the ones were handed out in
     return block_decode(big, row_sums, col_sums)
 
 

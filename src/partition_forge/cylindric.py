@@ -199,19 +199,23 @@ def remove_corner(pi, labels, i):
     return new_pi, out, m
 
 
-def enumerate_alcds(pi, max_weight):
-    """All label assignments of total weight at most max_weight."""
-    check_profile(pi)
+def cylindric_boxes(pi, max_hook):
+    """Boxes (i, j, w) with hook at most max_hook, by winding, then i, then j."""
     T = len(pi)
-    boxes = []
     # hooks are j - i + w*T with j - i >= 1 - T, so windings can reach one
-    # past max_weight // T before the hook exceeds the budget
-    for w in range(max_weight // T + 2):
+    # past max_hook // T before the hook exceeds the budget
+    for w in range(max_hook // T + 2):
         for i in range(1, T + 1):
             for j in range(1, T + 1):
                 box = (i, j, w)
-                if is_valid_box(pi, box) and box_hook(pi, box) <= max_weight:
-                    boxes.append(box)
+                if is_valid_box(pi, box) and box_hook(pi, box) <= max_hook:
+                    yield box
+
+
+def enumerate_alcds(pi, max_weight):
+    """All label assignments of total weight at most max_weight."""
+    check_profile(pi)
+    boxes = list(cylindric_boxes(pi, max_weight))
     out = []
 
     def rec(idx, acc, used):
@@ -383,20 +387,7 @@ def diag_weight(pi, labels, k):
 
 def cylindric_hooks(pi, max_hook):
     """Hooks of all boxes, with multiplicity, up to max_hook."""
-    T = len(pi)
-    out = []
-    inv = [
-        (i, j)
-        for i in range(1, T + 1)
-        for j in range(1, T + 1)
-        if pi[i - 1] == "1" and pi[j - 1] == "0"
-    ]
-    for i, j in inv:
-        w = 1 if j < i else 0
-        while j - i + w * T <= max_hook:
-            out.append(j - i + w * T)
-            w += 1
-    return sorted(out)
+    return sorted(box_hook(pi, box) for box in cylindric_boxes(pi, max_hook))
 
 
 def borodin_lhs(pi, max_weight):
@@ -419,7 +410,7 @@ def borodin_rhs(pi, max_weight):
     for h in cylindric_hooks(pi, max_weight):
         factors.append(series.binomial_factor((h,), -1, keep))
     total = series.product(factors, 1, keep)
-    return [int(series.coefficient(total, (d,))) for d in range(max_weight + 1)]
+    return [series.coefficient(total, (d,)) for d in range(max_weight + 1)]
 
 
 def hook_exponent_vector(pi, i, j, winding):
@@ -460,19 +451,7 @@ def borodin_refined_rhs(pi, max_weight):
         e = ((n + 1),) * T
         if keepv(e):
             factors.append(series.binomial_factor(e, -1, keepv))
-    inv = [
-        (i, j)
-        for i in range(1, T + 1)
-        for j in range(1, T + 1)
-        if pi[i - 1] == "1" and pi[j - 1] == "0"
-    ]
-    for i, j in inv:
-        w = 1 if j < i else 0
-        while True:
-            e = hook_exponent_vector(pi, i, j, w)
-            if not keepv(e):
-                break
-            factors.append(series.binomial_factor(e, -1, keepv))
-            w += 1
-    total = series.product(factors, T, keepv)
-    return {e: int(c) for e, c in total.items()}
+    for i, j, w in cylindric_boxes(pi, max_weight):
+        e = hook_exponent_vector(pi, i, j, w)
+        factors.append(series.binomial_factor(e, -1, keepv))
+    return series.product(factors, T, keepv)

@@ -6,13 +6,15 @@ each term of the two-by-two cross rule.  Its closed form is a sum of Laurent
 monomials indexed by pairs of interlacing sign matrices.
 
 Laurent polynomials are dicts mapping a sorted tuple of (variable, exponent)
-pairs to a Fraction coefficient; variables are tuples like ("l", i, j).
+pairs to a nonzero coefficient (an int wherever the math is integral);
+variables are tuples like ("l", i, j).
 """
 
 from fractions import Fraction
 from itertools import product
 
 from . import asm as A
+from . import series
 
 
 # ---------------------------------------------------------------------------
@@ -20,48 +22,27 @@ from . import asm as A
 
 
 def lp_const(c):
-    c = Fraction(c)
     return {(): c} if c else {}
 
 
 def lp_monomial(exps, coeff=1):
-    coeff = Fraction(coeff)
     if not coeff:
         return {}
     key = tuple(sorted((v, e) for v, e in exps.items() if e))
     return {key: coeff}
 
 
-def lp_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+lp_add = series.add
 
 
 def lp_mul(a, b):
-    out = {}
-    for ka, ca in a.items():
-        da = dict(ka)
-        for kb, cb in b.items():
-            m = dict(da)
-            for v, e in kb:
-                e2 = m.get(v, 0) + e
-                if e2:
-                    m[v] = e2
-                else:
-                    del m[v]
-            key = tuple(sorted(m.items()))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return out
+    # a key is a sorted tuple of (variable, exponent) pairs; summing the
+    # exponents of the concatenated keys multiplies the monomials
+    return series.accumulate(
+        (tuple(sorted(series.accumulate(ka + kb).items())), ca * cb)
+        for ka, ca in a.items()
+        for kb, cb in b.items()
+    )
 
 
 def lp_eval(a, point):
@@ -182,10 +163,9 @@ def closed_form_terms(n, k):
 
 
 def closed_form_symbolic(n, k):
-    total = lp_const(0)
-    for term in closed_form_terms(n, k):
-        total = lp_add(total, term)
-    return total
+    return series.accumulate(
+        kv for term in closed_form_terms(n, k) for kv in term.items()
+    )
 
 
 def closed_form_value(n, k, lam, mu, x, y):
@@ -232,14 +212,12 @@ def corollary_symbolic(n):
 
 
 def corollary_value(n, lam, mu, m):
-    ones = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]
     point = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             point[("l", i, j)] = lam[i - 1][j - 1]
             point[("m", i, j)] = mu[i - 1][j - 1]
             point[("x", i, j)] = m[i - 1][j - 1]
-    del ones
     return lp_eval(corollary_symbolic(n), point)
 
 

@@ -7,6 +7,7 @@ profile of one layer of the corresponding cylindric plane partition
 (occupied vertex = '1').
 """
 
+from . import series
 from .partitions import conjugate, minimal_profile, partition_of_profile
 from .cylindric import validate_cpp
 
@@ -120,14 +121,6 @@ def classify_cubes(pi, paths):
 def dc_alphabet(pi, seq):
     """Peak-minus-valley alphabet: dict (arm, leg) -> integer coefficient."""
     cubes = classify_cubes(pi, cpp_to_paths(pi, seq))
-    out = {}
-    for c in cubes:
-        d = (1 if c["peak"] else 0) - (1 if c["valley"] else 0)
-        if d:
-            key = (c["arm"], c["leg"])
-            v = out.get(key, 0) + d
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+    return series.accumulate(
+        ((c["arm"], c["leg"]), int(c["peak"]) - int(c["valley"])) for c in cubes
+    )

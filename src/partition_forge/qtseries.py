@@ -8,7 +8,16 @@ Omega[alphabet] is again such a factor product.
 
 from . import series
 from .partitions import conjugate
-from .cylindric import check_profile, cylindric_hooks, enumerate_cpps, cpp_weight, cpp_refined_weight, hook_exponent_vector, validate_cpp
+from .cylindric import (
+    check_profile,
+    cpp_refined_weight,
+    cpp_weight,
+    cylindric_boxes,
+    cylindric_hooks,
+    enumerate_cpps,
+    hook_exponent_vector,
+    validate_cpp,
+)
 from .paths import dc_alphabet
 
 
@@ -17,18 +26,7 @@ from .paths import dc_alphabet
 
 
 def fp_mul(a, b):
-    out = dict(a)
-    for k, e in b.items():
-        e2 = out.get(k, 0) + e
-        if e2:
-            out[k] = e2
-        else:
-            out.pop(k, None)
-    return out
-
-
-def fp_inv(a):
-    return {k: -e for k, e in a.items()}
+    return series.add(a, b)
 
 
 def fp_validate(a):
@@ -66,15 +64,11 @@ def omega(alphabet):
 
 def alphabet_q_minus_t(alphabet):
     """Multiply an alphabet by (q - t)."""
-    out = {}
-    for (n, m), c in alphabet.items():
-        for key, d in (((n + 1, m), c), ((n, m + 1), -c)):
-            v = out.get(key, 0) + d
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
+    return series.accumulate(
+        pair
+        for (n, m), c in alphabet.items()
+        for pair in (((n + 1, m), c), ((n, m + 1), -c))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -92,40 +86,30 @@ def _arm_leg(la, s):
     return la[i - 1] - j, sum(1 for a in la if a >= j) - i
 
 
-def pieri_phi(la, mu):
-    """Coefficient of the horizontal strip la/mu in the h-type Pieri rule."""
+def _pieri(la, mu, on_strip):
+    """Arm-leg factors (a, l + 1) / (a + 1, l) of the boxes of la over those
+    of mu, taken in the columns of the strip la/mu (on_strip) or, inverted,
+    in the other columns."""
     cols = set(_strip_columns(la, mu))
-    out = {}
-    for shape, flip in ((la, False), (mu, True)):
+    sign = 1 if on_strip else -1
+    pairs = []
+    for shape, s in ((la, sign), (mu, -sign)):
         for i, part in enumerate(shape, 1):
             for j in range(1, part + 1):
-                if j not in cols:
-                    continue
-                a, l = _arm_leg(shape, (i, j))
-                num, den = ((a, l + 1), (a + 1, l))
-                if flip:
-                    num, den = den, num
-                out = fp_mul(out, {num: 1} if num != den else {})
-                out = fp_mul(out, {den: -1} if num != den else {})
-    return fp_validate(out)
+                if (j in cols) == on_strip:
+                    a, l = _arm_leg(shape, (i, j))
+                    pairs += [((a, l + 1), s), ((a + 1, l), -s)]
+    return fp_validate(series.accumulate(pairs))
+
+
+def pieri_phi(la, mu):
+    """Coefficient of the horizontal strip la/mu in the h-type Pieri rule."""
+    return _pieri(la, mu, True)
 
 
 def pieri_psi(la, mu):
     """Companion coefficient over the columns the strip does not touch."""
-    cols = set(_strip_columns(la, mu))
-    out = {}
-    for shape, flip in ((la, True), (mu, False)):
-        for i, part in enumerate(shape, 1):
-            for j in range(1, part + 1):
-                if j in cols:
-                    continue
-                a, l = _arm_leg(shape, (i, j))
-                num, den = ((a, l + 1), (a + 1, l))
-                if flip:
-                    num, den = den, num
-                out = fp_mul(out, {num: 1} if num != den else {})
-                out = fp_mul(out, {den: -1} if num != den else {})
-    return fp_validate(out)
+    return _pieri(la, mu, False)
 
 
 def weight_function(pi, seq):
@@ -163,14 +147,18 @@ def qbinomial_column(k, keep):
 
 def pochhammer_ratio(h, max_weight, qt_cap):
     """(t z^h; q)_inf / (z^h; q)_inf as a series in (z, q, t)."""
+    return _pochhammer((h,), max_weight, qt_cap)
+
+
+def _pochhammer(vec, max_weight, qt_cap):
+    """(t z^vec; q)_inf / (z^vec; q)_inf in (z_1, ..., z_n, q, t), truncated
+    at z-degree max_weight and (q, t)-degree qt_cap."""
     keep2 = series.degree_cap(qt_cap)
-    out = {}
-    k = 0
-    while h * k <= max_weight:
-        for (eq, et), c in qbinomial_column(k, keep2).items():
-            out[(h * k, eq, et)] = out.get((h * k, eq, et), 0) + c
-        k += 1
-    return {k2: c for k2, c in out.items() if c}
+    return series.accumulate(
+        (tuple(k * v for v in vec) + qt, c)
+        for k in range(max_weight // sum(vec) + 1)
+        for qt, c in qbinomial_column(k, keep2).items()
+    )
 
 
 def qt_borodin_rhs(pi, max_weight, qt_cap):
@@ -187,51 +175,32 @@ def qt_borodin_rhs(pi, max_weight, qt_cap):
     return total
 
 
+def _graded_weights(pi, max_weight, qt_cap, grade):
+    """Sum of z^grade(c) times the expanded weight over all small enough c."""
+    keep2 = series.degree_cap(qt_cap)
+
+    def terms():
+        for seq in enumerate_cpps(pi, max_weight):
+            z = grade(seq)
+            for qt, c in fp_expand(weight_function(pi, seq), keep2).items():
+                yield z + qt, c
+
+    return series.accumulate(terms())
+
+
 def qt_borodin_lhs(pi, max_weight, qt_cap):
     """Sum of z^|c| times the expanded weight over all small enough c."""
-    keep2 = series.degree_cap(qt_cap)
-    total = {}
-    for seq in enumerate_cpps(pi, max_weight):
-        w = cpp_weight(seq)
-        expansion = fp_expand(weight_function(pi, seq), keep2)
-        for (eq, et), c in expansion.items():
-            key = (w, eq, et)
-            v = total.get(key, 0) + c
-            if v:
-                total[key] = v
-            else:
-                del total[key]
-    return total
+    return _graded_weights(pi, max_weight, qt_cap, lambda seq: (cpp_weight(seq),))
 
 
 def collapse_t_to_q(series3):
     """Set t = q in a (z, q, t) series."""
-    out = {}
-    for (w, eq, et), c in series3.items():
-        key = (w, eq + et, 0)
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return out
+    return series.substitute(series3, 2, 1)
 
 
 def qt_refined_lhs(pi, max_weight, qt_cap):
     """Refined weights: exponent vector (|mu^1|, ..., |mu^T|) plus (q, t)."""
-    keep2 = series.degree_cap(qt_cap)
-    total = {}
-    for seq in enumerate_cpps(pi, max_weight):
-        vec = cpp_refined_weight(seq)
-        expansion = fp_expand(weight_function(pi, seq), keep2)
-        for (eq, et), c in expansion.items():
-            key = vec + (eq, et)
-            v = total.get(key, 0) + c
-            if v:
-                total[key] = v
-            else:
-                del total[key]
-    return total
+    return _graded_weights(pi, max_weight, qt_cap, cpp_refined_weight)
 
 
 def qt_refined_rhs(pi, max_weight, qt_cap):
@@ -241,30 +210,11 @@ def qt_refined_rhs(pi, max_weight, qt_cap):
     def keep(e):
         return sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
 
-    keep2 = series.degree_cap(qt_cap)
     total = series.one(T + 2)
     for n in range(max_weight // T + 1):
         f = series.binomial_factor(((n + 1),) * T + (0, 0), -1, keep)
         total = series.mul(total, f, keep)
-    inv = [
-        (i, j)
-        for i in range(1, T + 1)
-        for j in range(1, T + 1)
-        if pi[i - 1] == "1" and pi[j - 1] == "0"
-    ]
-    for i, j in inv:
-        w = 1 if j < i else 0
-        while True:
-            vec = hook_exponent_vector(pi, i, j, w)
-            if sum(vec) > max_weight:
-                break
-            factor = {}
-            k = 0
-            while sum(vec) * k <= max_weight:
-                for (eq, et), c in qbinomial_column(k, keep2).items():
-                    key = tuple(k * v for v in vec) + (eq, et)
-                    factor[key] = factor.get(key, 0) + c
-                k += 1
-            total = series.mul(total, factor, keep)
-            w += 1
+    for i, j, w in cylindric_boxes(pi, max_weight):
+        vec = hook_exponent_vector(pi, i, j, w)
+        total = series.mul(total, _pochhammer(vec, max_weight, qt_cap), keep)
     return total

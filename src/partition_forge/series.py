@@ -1,13 +1,21 @@
-"""Truncated multivariate power series with exact rational coefficients.
+"""Truncated multivariate power series with integer coefficients.
 
-A series is a dict mapping exponent tuples to nonzero Fractions.  Truncation
+A series is a dict mapping exponent tuples to nonzero ints.  Truncation
 is driven by a `keep` predicate on exponent tuples; every operation drops the
 terms for which it returns False, so keep must be downward closed
 (keep(e) implies keep of anything componentwise smaller).
 """
 
-from fractions import Fraction
+from itertools import chain
 from math import comb
+
+
+def accumulate(pairs):
+    """Dict of key -> sum of the values paired with it, zero sums dropped."""
+    out = {}
+    for k, c in pairs:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def degree_cap(cap, idxs=None):
@@ -21,12 +29,7 @@ def degree_cap(cap, idxs=None):
     return keep
 
 
-def combine_caps(*keeps):
-    return lambda exps: all(k(exps) for k in keeps)
-
-
 def monomial(exps, coeff=1):
-    coeff = Fraction(coeff)
     return {tuple(exps): coeff} if coeff else {}
 
 
@@ -35,36 +38,18 @@ def one(nvars):
 
 
 def add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        c2 = out.get(e, 0) + c
-        if c2:
-            out[e] = c2
-        else:
-            out.pop(e, None)
-    return out
-
-
-def scale(a, coeff):
-    coeff = Fraction(coeff)
-    if not coeff:
-        return {}
-    return {e: c * coeff for e, c in a.items()}
+    return accumulate(chain(a.items(), b.items()))
 
 
 def mul(a, b, keep):
+    # accumulate inlined: this is the hot loop
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2))
-            if not keep(e):
-                continue
-            c = out.get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                out.pop(e, None)
-    return out
+            if keep(e):
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def binomial_factor(exps, power, keep):
@@ -83,9 +68,9 @@ def binomial_factor(exps, power, keep):
         if power >= 0:
             if k > power:
                 break
-            c = Fraction((-1) ** k * comb(power, k))
+            c = (-1) ** k * comb(power, k)
         else:
-            c = Fraction(comb(k - power - 1, -power - 1))
+            c = comb(k - power - 1, -power - 1)
         out[e] = c
         k += 1
     return out
@@ -100,22 +85,18 @@ def product(factors, nvars, keep):
 
 def substitute(a, var, target_var):
     """Fold variable `var` into `target_var` (e.g. set t = q)."""
-    out = {}
-    for e, c in a.items():
-        e2 = list(e)
-        e2[target_var] += e2[var]
-        e2[var] = 0
-        e2 = tuple(e2)
-        c2 = out.get(e2, 0) + c
-        if c2:
-            out[e2] = c2
-        else:
-            out.pop(e2, None)
-    return out
+
+    def fold(e):
+        e = list(e)
+        e[target_var] += e[var]
+        e[var] = 0
+        return tuple(e)
+
+    return accumulate((fold(e), c) for e, c in a.items())
 
 
 def coefficient(a, exps):
-    return a.get(tuple(exps), Fraction(0))
+    return a.get(tuple(exps), 0)
 
 
 def restrict(a, keep):

@@ -192,6 +192,7 @@ def test_smoke_every_verify_command(tmp_path):
         "verify-stanley": ["--n", "3", "--max-weight", "4"],
         "verify-macmahon": ["--max-weight", "4"],
         "verify-bijection": ["--profile", "10", "--max-weight", "4"],
+        "verify-correspondences": [],
         "verify-asm": ["--n", "3"],
         "verify-aztec": ["--n", "2"],
         "verify-lambda-det": ["--n", "2", "--points", "3", "--seed", "1"],
@@ -199,4 +200,10 @@ def test_smoke_every_verify_command(tmp_path):
     for command, extra in sorted(small.items()):
         out = str(tmp_path / (command + ".json"))
         assert run_cli([command] + extra + ["--out", out]) == 0, command
+        assert read_report(out)["ok"] is True
+    # the checks must not rest on assert statements, which -O strips
+    for command, extra in sorted(small.items()):
+        out = str(tmp_path / (command + "-O.json"))
+        cmd = [sys.executable, "-O", "-m", "partition_forge.cli", command]
+        assert subprocess.call(cmd + extra + ["--out", out]) == 0, command
         assert read_report(out)["ok"] is True

@@ -72,6 +72,7 @@ def test_borodin_refined_small():
         keys = {e for e in rhs if sum(e) <= 5} | set(lhs)
         for e in keys:
             assert lhs.get(e, 0) == rhs.get(e, 0), (pi, e)
+        assert all(type(c) is int for c in rhs.values())
 
 
 def test_box_validity_and_hooks():

@@ -132,6 +132,7 @@ def test_qt_borodin_small():
         lhs = Q.qt_borodin_lhs(pi, 4, 4)
         rhs = Q.qt_borodin_rhs(pi, 4, 4)
         assert lhs == rhs, pi
+        assert all(type(c) is int for c in list(lhs.values()) + list(rhs.values()))
 
 
 def test_qt_collapse_matches_plain():
