@@ -178,12 +178,22 @@ def check_macmahon(max_weight, budget):
     ]
 
 
+def alcd_pairs(pi, max_weight):
+    """(labels, gamma, weight) for each ALCD and partition pair of weight <= max_weight."""
+    t = len(pi)
+    for labels in cylindric.enumerate_alcds(pi, max_weight):
+        base = cylindric.alcd_weight(pi, labels)
+        for gamma in partitions.partitions_upto((max_weight - base) // t):
+            yield labels, gamma, t * sum(gamma) + base
+
+
 def check_bijection(pi, max_weight, budget):
     t = len(pi)
     seqs = cylindric.enumerate_cpps(pi, max_weight)
     budget.spend(len(seqs))
     good = 0
-    images = []
+    # per weight class: CPPs, distinct image pairs, pairs on the ALCD side
+    lhs_by_weight, by_weight, rhs_by_weight = {}, {}, {}
     for seq in seqs:
         gamma, labels, _ = cylindric.phi(pi, seq)
         w = cylindric.cpp_weight(seq)
@@ -192,25 +202,15 @@ def check_bijection(pi, max_weight, budget):
             and cylindric.psi(pi, gamma, labels) == seq
         ):
             good += 1
-        images.append((w, gamma, tuple(sorted(labels.items()))))
+        lhs_by_weight[w] = lhs_by_weight.get(w, 0) + 1
+        by_weight.setdefault(w, set()).add((gamma, tuple(sorted(labels.items()))))
     out = [record("%s:round-trip" % pi, good, len(seqs))]
-    # per weight class, image pairs are distinct and counts agree both ways
-    by_weight = {}
-    for w, gamma, labels in images:
-        by_weight.setdefault(w, set()).add((gamma, labels))
-    rhs_by_weight = {}
-    for labels in cylindric.enumerate_alcds(pi, max_weight):
-        base = cylindric.alcd_weight(pi, labels)
-        for gamma in partitions.partitions_upto((max_weight - base) // t):
-            w = t * sum(gamma) + base
-            if w <= max_weight:
-                rhs_by_weight[w] = rhs_by_weight.get(w, 0) + 1
+    for _, _, w in alcd_pairs(pi, max_weight):
+        rhs_by_weight[w] = rhs_by_weight.get(w, 0) + 1
     for w in range(max_weight + 1):
-        n_lhs = sum(1 for s in seqs if cylindric.cpp_weight(s) == w)
+        n_lhs = lhs_by_weight.get(w, 0)
         out.append(record("%s:class %d lhs" % (pi, w), len(by_weight.get(w, ())), n_lhs))
-        out.append(
-            record("%s:class %d rhs" % (pi, w), n_lhs, rhs_by_weight.get(w, 0))
-        )
+        out.append(record("%s:class %d rhs" % (pi, w), n_lhs, rhs_by_weight.get(w, 0)))
     return out
 
 
@@ -220,15 +220,12 @@ def check_refined_bijection(pi, max_weight, budget):
     budget.spend(len(seqs))
     lhs = sorted(cylindric.cpp_refined_weight(s) for s in seqs)
     rhs = []
-    for labels in cylindric.enumerate_alcds(pi, max_weight):
-        base = cylindric.alcd_weight(pi, labels)
-        for gamma in partitions.partitions_upto((max_weight - base) // t):
-            vec = tuple(
-                sum(gamma) + cylindric.diag_weight(pi, labels, k)
-                for k in range(1, t + 1)
-            )
-            if sum(vec) <= max_weight:
-                rhs.append(vec)
+    for labels, gamma, _ in alcd_pairs(pi, max_weight):
+        vec = tuple(
+            sum(gamma) + cylindric.diag_weight(pi, labels, k) for k in range(1, t + 1)
+        )
+        if sum(vec) <= max_weight:
+            rhs.append(vec)
     good = int(lhs == sorted(rhs))
     return [record("%s:refined multiset" % pi, good, 1)]
 
@@ -513,14 +510,6 @@ def _robbins_rumsey_symbolic(n):
 # enumerate command serializers
 
 
-def emit_partition(la):
-    return list(la)
-
-
-def emit_cpp(pi, seq):
-    return {"profile": pi, "seq": [list(mu) for mu in seq]}
-
-
 def emit_alcd(pi, labels):
     return {
         "profile": pi,
@@ -535,181 +524,168 @@ def emit_tiling(tiling):
     ]
 
 
-def run_enumerate(args, budget):
-    kind = args.kind
-    if kind == "partitions":
-        items = [emit_partition(la) for la in partitions.partitions_upto(args.max_weight)]
-    elif kind == "cpps":
-        require_profile(args)
-        items = [
-            emit_cpp(args.profile, seq)
-            for seq in sorted(cylindric.enumerate_cpps(args.profile, args.max_weight))
-        ]
-    elif kind == "alcds":
-        require_profile(args)
-        items = [
-            emit_alcd(args.profile, labels)
-            for labels in sorted(
-                cylindric.enumerate_alcds(args.profile, args.max_weight),
-                key=lambda l: sorted(l.items()),
-            )
-        ]
-    elif kind == "asms":
-        items = [
-            [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(args.n))
-        ]
-    elif kind == "tilings":
-        items = [
-            emit_tiling(t) for t in sorted(aztec.enumerate_tilings(args.n))
-        ]
-    else:
-        raise SystemExit(2)
-    budget.spend(len(items))
-    return items
-
-
-def require_profile(args):
-    if not args.profile:
-        print("error: --profile required", file=sys.stderr)
-        raise SystemExit(2)
-
-
 # ---------------------------------------------------------------------------
-# driver
+# command table
+#
+# Each entry names the bounds a command reads, each with its default, and the
+# function that turns the resolved bounds into work.  The functions call the
+# checks through this module's globals and never hold a check function, so a
+# check rebound after import (as a tracer does) is the one that runs.
+
+BOUNDS = {"profile": str, "max_weight": int, "qt_degree": int, "n": int}
+REQUIRED = object()  # default of a bound the command cannot run without
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="partition-forge")
-    sub = p.add_subparsers(dest="command", required=True)
-    commands = [
-        "verify-borodin",
-        "verify-qt-borodin",
-        "verify-stanley",
-        "verify-macmahon",
-        "verify-bijection",
-        "verify-correspondences",
-        "verify-asm",
-        "verify-lambda-det",
-        "verify-aztec",
-        "enumerate",
-    ]
-    for name in commands:
-        q = sub.add_parser(name)
-        q.add_argument("--profile", default=None)
-        q.add_argument("--max-weight", type=int, default=None)
-        q.add_argument("--qt-degree", type=int, default=None)
-        q.add_argument("--n", type=int, default=None)
-        q.add_argument("--points", type=int, default=20)
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--out", default=None)
-        q.add_argument("--format", choices=("json", "csv"), default="json")
-        q.add_argument("--perturb", action="store_true")
-        q.add_argument("--max-instances", type=int, default=10 ** 6)
-        if name == "enumerate":
-            q.add_argument(
-                "--kind",
-                choices=("partitions", "cpps", "alcds", "asms", "tilings"),
-                default="partitions",
-            )
-    return p
+def sweep(profile, max_t, mixed_only=False):
+    """The given profile, or every profile of length <= max_t."""
+    if profile is not None:
+        return [profile]
+    out = list(mixed_profiles(max_t))
+    if not mixed_only:
+        out += list(pure_profiles(max_t))
+    return out
+
+
+# verify command -> (bound -> default, task builder).  A builder takes the
+# resolved bounds and the budget and returns (label, callable) pairs.  A
+# profile left out means a sweep over the profiles the builder names.
+COMMANDS = {
+    "verify-borodin": ({"profile": None, "max_weight": 12}, lambda b, budget: [
+        ("borodin %s" % pi, lambda pi=pi: check_borodin(pi, b.max_weight, budget))
+        for pi in sweep(b.profile, 5)
+    ]),
+    "verify-qt-borodin": ({"profile": None, "max_weight": 8, "qt_degree": 8}, lambda b, budget: [
+        ("qt-borodin %s" % pi,
+         lambda pi=pi: check_qt_borodin(pi, b.max_weight, b.qt_degree, budget))
+        for pi in sweep(b.profile, 4, mixed_only=True)
+    ]),
+    "verify-stanley": ({"max_weight": 12, "n": 8}, lambda b, budget: [
+        ("stanley %r" % (la,), lambda la=la: check_stanley(la, b.max_weight, budget))
+        for la in partitions.partitions_upto(b.n)
+    ] + [
+        ("weight-simplification", lambda: [
+            r for pi in mixed_profiles(5)
+            for r in check_weight_simplification(pi, min(b.max_weight, 8), budget)
+        ])
+    ]),
+    "verify-macmahon": ({"max_weight": 8}, lambda b, budget: [
+        ("macmahon", lambda: check_macmahon(b.max_weight, budget))
+    ]),
+    "verify-bijection": ({"profile": None, "max_weight": 10}, lambda b, budget: [
+        ("bijection %s" % pi, lambda pi=pi: check_bijection(pi, b.max_weight, budget))
+        for pi in sweep(b.profile, 4, mixed_only=True)
+    ] + [
+        ("refined %s" % pi,
+         lambda pi=pi: check_refined_bijection(pi, min(b.max_weight, 6), budget))
+        for pi in sweep(b.profile, 3, mixed_only=True)
+    ]),
+    "verify-correspondences": ({}, lambda b, budget: [
+        ("correspondences", lambda: check_correspondences(budget))
+    ]),
+    "verify-asm": ({"n": 5}, lambda b, budget: [("asm", lambda: check_asm(b.n, budget))]),
+    "verify-aztec": ({"n": 5}, lambda b, budget: [("aztec", lambda: check_aztec(b.n, budget))]),
+    "verify-lambda-det": ({"n": 4}, lambda b, budget: [
+        ("lambda-det", lambda: check_lambda_det(b.n, b.points, b.seed, budget))
+    ]),
+}
+
+# enumerate --kind -> (bound -> default, items).  Items are sorted and ready
+# for JSON.
+KINDS = {
+    "partitions": ({"max_weight": REQUIRED}, lambda b: [
+        list(la) for la in partitions.partitions_upto(b.max_weight)
+    ]),
+    "cpps": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
+        {"profile": b.profile, "seq": [list(mu) for mu in seq]}
+        for seq in sorted(cylindric.enumerate_cpps(b.profile, b.max_weight))
+    ]),
+    "alcds": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
+        emit_alcd(b.profile, labels)
+        for labels in sorted(
+            cylindric.enumerate_alcds(b.profile, b.max_weight), key=lambda l: sorted(l.items())
+        )
+    ]),
+    "asms": ({"n": REQUIRED}, lambda b: [
+        [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(b.n))
+    ]),
+    "tilings": ({"n": REQUIRED}, lambda b: [
+        emit_tiling(t) for t in sorted(aztec.enumerate_tilings(b.n))
+    ]),
+}
+
+
+def usage_error(message):
+    print("error: %s" % message, file=sys.stderr)
+    raise SystemExit(2)
 
 
 def valid_profile(pi):
     return pi and set(pi) <= {"0", "1"}
 
 
-def profiles_for(args, default_t, mixed_only=False):
-    if args.profile is not None:
-        if not valid_profile(args.profile):
-            print("error: malformed profile %r" % args.profile, file=sys.stderr)
-            raise SystemExit(2)
-        return [args.profile]
-    out = list(mixed_profiles(default_t))
-    if not mixed_only:
-        out += list(pure_profiles(default_t))
-    return out
+def resolve(args, bounds, name):
+    """A copy of args with each bound in bounds set: as given, else its default.
+
+    args itself is left as parsed, because the report echoes only the bounds
+    that were given.  A missing REQUIRED bound, a bound the command does not
+    read and a malformed profile are usage errors.
+    """
+    b = argparse.Namespace(**vars(args))
+    for bound in BOUNDS:
+        flag = "--" + bound.replace("_", "-")
+        given = getattr(args, bound, None)
+        if bound not in bounds:
+            if given is not None:
+                usage_error("%s does not read %s" % (name, flag))
+        elif given is None:
+            if bounds[bound] is REQUIRED:
+                usage_error("%s required" % flag)
+            setattr(b, bound, bounds[bound])
+    if getattr(b, "profile", None) is not None and not valid_profile(b.profile):
+        usage_error("malformed profile %r" % b.profile)
+    return b
 
 
 def build_tasks(args, budget):
-    cmd = args.command
-    if cmd == "verify-borodin":
-        w = args.max_weight if args.max_weight is not None else 12
-        return [
-            ("borodin %s" % pi, lambda pi=pi: check_borodin(pi, w, budget))
-            for pi in profiles_for(args, 5)
-        ]
-    if cmd == "verify-qt-borodin":
-        w = args.max_weight if args.max_weight is not None else 8
-        d = args.qt_degree if args.qt_degree is not None else 8
-        return [
-            (
-                "qt-borodin %s" % pi,
-                lambda pi=pi: check_qt_borodin(pi, w, d, budget),
-            )
-            for pi in profiles_for(args, 4, mixed_only=True)
-        ]
-    if cmd == "verify-stanley":
-        w = args.max_weight if args.max_weight is not None else 12
-        shapes = [
-            la
-            for la in partitions.partitions_upto(args.n if args.n else 8)
-        ]
-        return [
-            (
-                "stanley %r" % (la,),
-                lambda la=la: check_stanley(la, w, budget),
-            )
-            for la in shapes
-        ] + [
-            (
-                "weight-simplification",
-                lambda: sum(
-                    (
-                        check_weight_simplification(pi, min(w, 8), budget)
-                        for pi in mixed_profiles(5)
-                    ),
-                    [],
-                ),
-            )
-        ]
-    if cmd == "verify-macmahon":
-        w = args.max_weight if args.max_weight is not None else 8
-        return [("macmahon", lambda: check_macmahon(w, budget))]
-    if cmd == "verify-bijection":
-        w = args.max_weight if args.max_weight is not None else 10
-        tasks = [
-            ("bijection %s" % pi, lambda pi=pi: check_bijection(pi, w, budget))
-            for pi in profiles_for(args, 4, mixed_only=True)
-        ]
-        tasks += [
-            (
-                "refined %s" % pi,
-                lambda pi=pi: check_refined_bijection(pi, min(w, 6), budget),
-            )
-            for pi in (
-                [args.profile]
-                if args.profile is not None
-                else list(mixed_profiles(3))
-            )
-        ]
-        return tasks
-    if cmd == "verify-correspondences":
-        return [("correspondences", lambda: check_correspondences(budget))]
-    if cmd == "verify-asm":
-        n = args.n if args.n is not None else 5
-        return [("asm", lambda: check_asm(n, budget))]
-    if cmd == "verify-aztec":
-        n = args.n if args.n is not None else 5
-        return [("aztec", lambda: check_aztec(n, budget))]
-    if cmd == "verify-lambda-det":
-        n = args.n if args.n is not None else 4
-        return [
-            (
-                "lambda-det",
-                lambda: check_lambda_det(n, args.points, args.seed, budget),
-            )
-        ]
-    raise SystemExit(2)
+    bounds, tasks = COMMANDS[args.command]
+    return tasks(resolve(args, bounds, args.command), budget)
+
+
+def run_enumerate(args, budget):
+    bounds, items = KINDS[args.kind]
+    out = items(resolve(args, bounds, "enumerate --kind %s" % args.kind))
+    budget.spend(len(out))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# driver
+
+
+def add_bounds(q, names):
+    for bound, kind in BOUNDS.items():
+        if bound in names:
+            q.add_argument("--" + bound.replace("_", "-"), type=kind)
+
+
+def build_parser():
+    """One subcommand per table entry, with only the flags that entry reads."""
+    p = argparse.ArgumentParser(prog="partition-forge")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (bounds, _) in COMMANDS.items():
+        q = sub.add_parser(name)
+        add_bounds(q, bounds)
+        q.add_argument("--points", type=int, default=20)
+        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--format", choices=("json", "csv"), default="json")
+        q.add_argument("--perturb", action="store_true")
+    q = sub.add_parser("enumerate")
+    add_bounds(q, {bound for bounds, _ in KINDS.values() for bound in bounds})
+    q.add_argument("--kind", choices=tuple(KINDS), default="partitions")
+    for q in sub.choices.values():
+        q.add_argument("--out", default=None)
+        q.add_argument("--max-instances", type=int, default=10 ** 6)
+    return p
 
 
 def assemble_report(args, records):
@@ -725,7 +701,7 @@ def assemble_report(args, records):
             bounds[field.replace("_", "-")] = v
     return {
         "mode": args.command,
-        "profile": args.profile or "",
+        "profile": getattr(args, "profile", None) or "",
         "bounds": bounds,
         "coefficients": records,
         "ok": all(r["match"] for r in records),
@@ -744,6 +720,18 @@ def emit(report, fmt):
     return "\n".join(lines) + "\n"
 
 
+def write_out(text, path):
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as e:
+        usage_error("cannot write %s: %s" % (path, e.strerror))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     budget = Budget(args.max_instances)
@@ -757,28 +745,15 @@ def _run(args, budget):
     try:
         if args.command == "enumerate":
             items = run_enumerate(args, budget)
-            text = json.dumps(items, indent=2, sort_keys=False) + "\n"
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(text)
-            else:
-                sys.stdout.write(text)
+            write_out(json.dumps(items, indent=2, sort_keys=False) + "\n", args.out)
             return 0
         chunks = [fn() for _, fn in build_tasks(args, budget)]
-    except CapExceeded as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except AssertionError as e:
+    except (CapExceeded, AssertionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     records = [r for chunk in chunks for r in chunk]
     report = assemble_report(args, records)
-    text = emit(report, args.format)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    write_out(emit(report, args.format), args.out)
     return 0 if report["ok"] else 1
 
 

@@ -1,55 +1,42 @@
 """End-to-end acceptance checks at desk scale, with wall-clock budgets.
 
 Every comparison is exact (integers and Fractions); a budget assert at the
-end of each test keeps the whole suite honest about runtime.
+end of each test keeps the whole suite honest about runtime.  Where a report
+carries the comparison, the test runs the tasks the CLI declares for that
+command and asserts the record count and that every record matches; the rest
+call the library directly.
 """
 
-import random
 import time
-from fractions import Fraction
-from itertools import permutations, product
 
 from partition_forge import asm as asmmod
 from partition_forge import aztec
 from partition_forge import cli
-from partition_forge import correspondences as corr
 from partition_forge import cylindric
 from partition_forge import lambdadet
 from partition_forge import partitions
 from partition_forge import qtseries
-from partition_forge import series
 
 
-def mixed_profiles(max_t):
-    out = []
-    for t in range(2, max_t + 1):
-        for bits in product("01", repeat=t):
-            pi = "".join(bits)
-            if "0" in pi and "1" in pi:
-                out.append(pi)
-    return out
-
-
-def pure_profiles(max_t):
-    return ["1" * t for t in range(1, max_t + 1)] + [
-        "0" * t for t in range(1, max_t + 1)
-    ]
+def verified(argv, count):
+    """Records of the CLI's own tasks for argv; there are count, and all match."""
+    tasks = cli.build_tasks(cli.build_parser().parse_args(argv), cli.Budget(10 ** 6))
+    records = [r for _, task in tasks for r in task()]
+    assert len(records) == count, argv
+    assert [r for r in records if not r["match"]] == [], argv
+    return {r["degree"]: r for r in records}
 
 
 def test_borodin_identity_desk_scale():
     start = time.time()
-    profiles = mixed_profiles(5) + pure_profiles(5)
-    assert len(profiles) == (2 + 6 + 14 + 30) + 10
-    for pi in profiles:
-        lhs = cylindric.borodin_lhs(pi, 12)
-        rhs = cylindric.borodin_rhs(pi, 12)
-        assert lhs == rhs, pi
+    # 62 profiles of length <= 5, weights 0..12
+    verified(["verify-borodin"], (2 + 6 + 14 + 30 + 10) * 13)
     assert time.time() - start < 120
 
 
 def test_qt_borodin_desk_scale():
     start = time.time()
-    for pi in mixed_profiles(4):
+    for pi in cli.mixed_profiles(4):
         lhs = qtseries.qt_borodin_lhs(pi, 8, 8)
         rhs = qtseries.qt_borodin_rhs(pi, 8, 8)
         keys = set(lhs) | {k for k, v in rhs.items() if v}
@@ -66,7 +53,7 @@ def test_qt_borodin_desk_scale():
 
 def test_weight_simplification_desk_scale():
     start = time.time()
-    for pi in mixed_profiles(5) + pure_profiles(5):
+    for pi in cli.sweep(None, 5):
         for seq in cylindric.enumerate_cpps(pi, 8):
             assert qtseries.weight_alphabet_identity(pi, seq), (pi, seq)
     assert time.time() - start < 60
@@ -74,96 +61,28 @@ def test_weight_simplification_desk_scale():
 
 def test_bijection_desk_scale():
     start = time.time()
-    for pi in mixed_profiles(4):
-        t = len(pi)
-        seqs = cylindric.enumerate_cpps(pi, 10)
-        images = set()
-        by_weight_lhs = {}
-        for seq in seqs:
-            gamma, labels, _ = cylindric.phi(pi, seq)
-            w = cylindric.cpp_weight(seq)
-            assert w == t * sum(gamma) + cylindric.alcd_weight(pi, labels)
-            assert cylindric.psi(pi, gamma, labels) == seq
-            images.add((gamma, tuple(sorted(labels.items()))))
-            by_weight_lhs[w] = by_weight_lhs.get(w, 0) + 1
-        assert len(images) == len(seqs)
-        # cardinalities per weight class match the pair side
-        by_weight_rhs = {}
-        for labels in cylindric.enumerate_alcds(pi, 10):
-            base = cylindric.alcd_weight(pi, labels)
-            for gamma in partitions.partitions_upto((10 - base) // t):
-                w = t * sum(gamma) + base
-                if w <= 10:
-                    by_weight_rhs[w] = by_weight_rhs.get(w, 0) + 1
-        assert by_weight_lhs == by_weight_rhs, pi
-    # refined identity: multisets of layer-size vectors agree
-    for pi in mixed_profiles(3):
-        t = len(pi)
-        lhs = sorted(
-            cylindric.cpp_refined_weight(s)
-            for s in cylindric.enumerate_cpps(pi, 6)
-        )
-        rhs = []
-        for labels in cylindric.enumerate_alcds(pi, 6):
-            base = cylindric.alcd_weight(pi, labels)
-            for gamma in partitions.partitions_upto((6 - base) // t):
-                vec = tuple(
-                    sum(gamma) + cylindric.diag_weight(pi, labels, k)
-                    for k in range(1, t + 1)
-                )
-                if sum(vec) <= 6:
-                    rhs.append(vec)
-        assert lhs == sorted(rhs), pi
+    # per profile of length <= 4 at weight 10: the round trip, then distinct
+    # images and pair-side cardinality per weight class; then the refined
+    # multiset per profile of length <= 3 at weight 6
+    verified(["verify-bijection"], 22 * (1 + 2 * 11) + 8)
     assert time.time() - start < 180
 
 
 def test_stanley_and_macmahon_desk_scale():
     start = time.time()
-    keep = series.degree_cap(12)
-    for shape in partitions.partitions_upto(8):
-        if not shape:
-            continue
-        pi = partitions.minimal_profile(shape)
-        lhs = [0] * 13
-        for seq in cylindric.enumerate_cpps(pi, 12):
-            if seq[0] == ():
-                lhs[cylindric.cpp_weight(seq)] += 1
-        rhs = series.product(
-            [
-                series.binomial_factor((partitions.hook(shape, s),), -1, keep)
-                for s in partitions.cells(shape)
-            ],
-            1,
-            keep,
-        )
-        for w in range(13):
-            assert lhs[w] == rhs.get((w,), 0), (shape, w)
-    lhs = cli._count_plane_partitions(8)
-    keep8 = series.degree_cap(8)
-    rhs = series.product(
-        [series.binomial_factor((n,), -n, keep8) for n in range(1, 9)], 1, keep8
-    )
-    assert lhs == [rhs.get((w,), 0) for w in range(9)]
-    assert lhs[:7] == [1, 1, 3, 6, 13, 24, 48]
+    # 67 shapes of size <= 8, weights 0..12 (one record for the empty shape),
+    # then weight simplification over the 52 mixed profiles of length <= 5
+    verified(["verify-stanley"], 66 * 13 + 1 + 52)
+    verified(["verify-macmahon"], 9)
+    assert cli._count_plane_partitions(8)[:7] == [1, 1, 3, 6, 13, 24, 48]
     assert time.time() - start < 60
 
 
 def test_correspondences_desk_scale():
     start = time.time()
-    for p in permutations(range(1, 6)):
-        assert corr.reverse_robinson(*corr.robinson(p)) == p
-    for la in partitions.partitions_upto(8):
-        downs = partitions.hstrips_down(la)
-        for alpha in downs:
-            for beta in downs:
-                m, mu = corr.burge_down(alpha, beta, la)
-                assert sum(la) + sum(mu) == sum(alpha) + sum(beta) + m
-                assert corr.burge_up(alpha, beta, m, mu) == la
-    for n in range(1, 7):
-        total = sum(
-            cli.standard_count(la) ** 2 for la in partitions.partitions_of(n)
-        )
-        assert total == cli.factorial(n), n
+    # robinson on S5, the involution count for n <= 6, the column rule for
+    # |la| <= 8, Cauchy sums for 2x2 and 3x3 at totals 0..4
+    verified(["verify-correspondences"], 1 + 6 + 1 + 2 * 5)
     for size in (2, 3):
         for total_sum in range(5):
             for r in cli.compositions(total_sum, size):
@@ -181,79 +100,40 @@ def test_correspondences_desk_scale():
 def test_asm_and_aztec_desk_scale():
     start = time.time()
     assert [asmmod.asm_count_formula(n) for n in range(6)] == [1, 1, 2, 7, 42, 429]
-    for n in range(1, 6):
-        assert len(asmmod.enumerate_asms(n)) == asmmod.asm_count_formula(n)
-    for n in range(1, 5):
-        for b in asmmod.enumerate_asms(n):
-            assert cli._asm_properties_hold(n, b), (n, b)
-    for n in range(1, 6):
+    # counts for n <= 5, properties for n <= 4
+    verified(["verify-asm"], 6 + 4)
+    # count, round trip and sign count for n <= 5
+    aztec_records = verified(["verify-aztec"], 3 * 5)
+    assert aztec_records["count:n=5"]["lhs"] == "32768"
+    for n in range(1, 4):
         tilings = aztec.enumerate_tilings(n)
-        assert len(tilings) == 2 ** (n * (n + 1) // 2)
-        assert len(tilings) == sum(
-            2 ** sum(1 for row in b for v in row if v == -1)
-            for b in asmmod.enumerate_asms(n + 1)
-        )
-        if n <= 3:
-            pairs = set()
-            for t in tilings:
-                a, b = aztec.tiling_to_asms(n, t)
-                pairs.add((a, b))
-                assert aztec.asms_to_tiling(n, a, b) == t
-            assert len(pairs) == len(tilings)
-        else:
-            ordered = sorted(tilings)
-            for t in ordered[:: len(ordered) // 64]:
-                a, b = aztec.tiling_to_asms(n, t)
-                assert aztec.asms_to_tiling(n, a, b) == t
-    assert len(aztec.enumerate_tilings(5)) == 32768
+        pairs = set()
+        for t in tilings:
+            a, b = aztec.tiling_to_asms(n, t)
+            pairs.add((a, b))
+            assert aztec.asms_to_tiling(n, a, b) == t
+        assert len(pairs) == len(tilings)
+    for n in (4, 5):
+        ordered = sorted(aztec.enumerate_tilings(n))
+        for t in ordered[:: len(ordered) // 64]:
+            a, b = aztec.tiling_to_asms(n, t)
+            assert aztec.asms_to_tiling(n, a, b) == t
     assert time.time() - start < 180
 
 
 def test_lambda_determinant_desk_scale():
     start = time.time()
-    rng = random.Random(97)
-
-    def rnd():
-        v = 0
-        while v == 0:
-            v = rng.randint(-9, 9)
-        return Fraction(v)
-
-    for n in (2, 3, 4):
-        done = 0
-        while done < 20:
-            lam = [[rnd() for _ in range(n)] for _ in range(n)]
-            mu = [[rnd() for _ in range(n)] for _ in range(n)]
-            x = [[rnd() for _ in range(n)] for _ in range(n)]
-            y = [[rnd() for _ in range(n + 1)] for _ in range(n + 1)]
-            try:
-                levels = lambdadet.pyramid(n, lam, mu, x, y)
-            except (ZeroDivisionError, AssertionError):
-                continue
-            done += 1
-            for k in range(1, n + 1):
-                assert levels[k][0][0] == lambdadet.closed_form_value(
-                    n, k, lam, mu, x, y
-                ), (n, k)
-    for n in (2, 3):
-        levels = lambdadet.symbolic_pyramid(n)
-        for k in range(1, n + 1):
-            assert levels[k][0][0] == lambdadet.Rat(
-                lambdadet.closed_form_symbolic(n, k)
-            ), (n, k)
-    for n in (2, 3, 4):
-        lam = [[lambdadet.rat_var(("l", 0, 0))] * n for _ in range(n)]
-        mu = [[lambdadet.Rat(lambdadet.lp_const(1))] * n for _ in range(n)]
-        x = [
-            [lambdadet.rat_var(("x", i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        y = [
-            [lambdadet.Rat(lambdadet.lp_const(1))] * (n + 1) for _ in range(n + 1)
-        ]
-        apex = lambdadet.pyramid(n, lam, mu, x, y)[n][0][0]
-        assert apex == cli._robbins_rumsey_symbolic(n), n
-    for n in (1, 2, 3, 4):
-        m = [[rnd() for _ in range(n)] for _ in range(n)]
-        assert lambdadet.lambda_determinant(n, m) == lambdadet.det_cofactor(m)
+    # numeric for n = 2..4, symbolic and one-parameter for n = 2, 3,
+    # determinant for n = 1..4
+    verified(["verify-lambda-det", "--seed", "97"], 3 + 2 + 2 + 4)
+    n = 4
+    lam = [[lambdadet.rat_var(("l", 0, 0))] * n for _ in range(n)]
+    mu = [[lambdadet.Rat(lambdadet.lp_const(1))] * n for _ in range(n)]
+    x = [
+        [lambdadet.rat_var(("x", i, j)) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    y = [[lambdadet.Rat(lambdadet.lp_const(1))] * (n + 1) for _ in range(n + 1)]
+    apex = lambdadet.pyramid(n, lam, mu, x, y)[n][0][0]
+    assert apex == cli._robbins_rumsey_symbolic(n)
     assert time.time() - start < 120

@@ -177,6 +177,54 @@ def test_enumerate_requires_profile(capsys):
     assert code == 2
 
 
+# usage errors: each exits 2 with a message and no traceback, also under -O
+USAGE_ERRORS = [
+    ("enumerate", "error: --max-weight required"),
+    ("enumerate --kind cpps --profile 10", "error: --max-weight required"),
+    ("enumerate --kind asms", "error: --n required"),
+    ("enumerate --kind tilings", "error: --n required"),
+    ("enumerate --kind asms --n 2 --max-weight 3", "does not read --max-weight"),
+    ("enumerate --kind cpps --profile 2X --max-weight 2", "malformed profile '2X'"),
+    ("enumerate --format csv", "unrecognized arguments: --format csv"),
+    ("enumerate --max-weight 2 --perturb", "unrecognized arguments: --perturb"),
+    ("verify-stanley --profile 10", "unrecognized arguments: --profile 10"),
+    ("verify-correspondences --n 3", "unrecognized arguments: --n 3"),
+    ("verify-macmahon --max-weight 2 --out /nonexistent/r.json", "error: cannot write"),
+    ("enumerate --max-weight 2 --out /nonexistent/e.json", "error: cannot write"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
+def test_usage_errors_exit_2_without_traceback(argv, message):
+    cmd = [sys.executable, "-O", "-m", "partition_forge.cli"] + argv.split()
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_bound_is_not_the_default(tmp_path):
+    out = str(tmp_path / "r.json")
+    assert run_cli(["verify-stanley", "--n", "0", "--max-weight", "3", "--out", out]) == 0
+    shapes = [r["degree"] for r in read_report(out)["coefficients"] if r["degree"][0] == "("]
+    assert shapes == ["(empty):z^0"]
+
+
+def test_tasks_call_checks_bound_after_import(tmp_path, monkeypatch):
+    calls = []
+    check = cli.check_macmahon
+
+    def recording(*args):
+        calls.append(args[0])
+        return check(*args)
+
+    monkeypatch.setattr(cli, "check_macmahon", recording)
+    out = str(tmp_path / "r.json")
+    assert run_cli(["verify-macmahon", "--max-weight", "2", "--out", out]) == 0
+    assert calls == [2]
+
+
 def test_frac_str():
     from fractions import Fraction
 
