@@ -2,23 +2,22 @@
 
 Matrices are tuples of tuples, 1-indexed in the interfaces below via explicit
 offsets.  Left corner sums accumulate above-and-to-the-left, right corner
-sums above-and-to-the-right.
+sums above-and-to-the-right.  Every right-hand construction is its
+left-hand twin conjugated by reverse_columns.
 """
 
+from itertools import accumulate
 from math import factorial
 
 
 def validate_asm(m):
     n = len(m)
-    assert all(len(r) == n for r in m)
-    for r in m:
-        assert set(r) <= {-1, 0, 1}
-    for line in list(m) + [[m[i][j] for i in range(n)] for j in range(n)]:
-        partial = 0
-        for v in line:
-            partial += v
-            assert partial in (0, 1)
-        assert partial == 1
+    if any(len(r) != n for r in m):
+        raise AssertionError("not a square matrix: %r" % (m,))
+    for line in list(m) + list(zip(*m)):
+        # partial sums in {0, 1} ending at 1; the entries then lie in {-1, 0, 1}
+        if not set(accumulate(line)) <= {0, 1} or sum(line) != 1:
+            raise AssertionError("not an alternating sign matrix: %r" % (m,))
     return tuple(tuple(r) for r in m)
 
 
@@ -64,32 +63,19 @@ def enumerate_asms(n):
     return out
 
 
-def row_sum_right(m, i, j):
-    return sum(m[i - 1][j:])
-
-
-def row_sum_left(m, i, j):
-    return sum(m[i - 1][: j - 1])
-
-
-def col_sum_below(m, i, j):
-    return sum(m[k][j - 1] for k in range(i, len(m)))
-
-
 def is_inversion(m, i, j):
+    """A zero with row sum 1 to its right and column sum 1 below it."""
     return (
         m[i - 1][j - 1] == 0
-        and row_sum_right(m, i, j) == 1
-        and col_sum_below(m, i, j) == 1
+        and sum(m[i - 1][j:]) == 1
+        and sum(r[j - 1] for r in m[i:]) == 1
     )
 
 
 def is_dual_inversion(m, i, j):
-    return (
-        m[i - 1][j - 1] == 0
-        and row_sum_left(m, i, j) == 1
-        and col_sum_below(m, i, j) == 1
-    )
+    """A zero with row sum 1 to its left and column sum 1 below it: an
+    inversion of the column reversal at (i, n + 1 - j)."""
+    return is_inversion(reverse_columns(m), i, len(m) + 1 - j)
 
 
 def inversions(m):
@@ -99,12 +85,7 @@ def inversions(m):
 
 def dual_inversions(m):
     n = len(m)
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if is_dual_inversion(m, i, j)
-    ]
+    return sorted((i, n + 1 - j) for i, j in inversions(reverse_columns(m)))
 
 
 def monotone_triangle(m):
@@ -137,17 +118,7 @@ def left_corner_sums(m):
 
 
 def right_corner_sums(m):
-    n = len(m)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n - 1, -1, -1):
-            out[i][j] = (
-                m[i][j]
-                + (out[i - 1][j] if i else 0)
-                + (out[i][j + 1] if j + 1 < n else 0)
-                - (out[i - 1][j + 1] if i and j + 1 < n else 0)
-            )
-    return tuple(map(tuple, out))
+    return reverse_columns(left_corner_sums(reverse_columns(m)))
 
 
 def asm_from_left_sums(bar):
@@ -165,17 +136,7 @@ def asm_from_left_sums(bar):
 
 
 def asm_from_right_sums(under):
-    n = len(under)
-
-    def g(i, j):
-        return under[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else 0
-
-    return validate_asm(
-        [
-            [g(i, j) + g(i - 1, j + 1) - g(i, j + 1) - g(i - 1, j) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    return reverse_columns(asm_from_left_sums(reverse_columns(under)))
 
 
 def f_weight_exponents(m):
@@ -190,12 +151,7 @@ def f_weight_exponents(m):
 
 def g_weight_exponents(m):
     """G(X): min(i, n+1-j) minus the right corner sum."""
-    n = len(m)
-    under = right_corner_sums(m)
-    return tuple(
-        tuple(min(i, n + 1 - j) - under[i - 1][j - 1] for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
+    return reverse_columns(f_weight_exponents(reverse_columns(m)))
 
 
 def reverse_columns(m):
@@ -266,64 +222,21 @@ def left_above_family(b, bits):
     return asm_from_left_sums(out)
 
 
+def _mirror_bits(b, sign, bits):
+    """Re-order bits, given in the order of the signs of b, into the order of
+    the signs of reverse_columns(b), so that every sign keeps its bit."""
+    n = len(b)
+    bit = dict(zip(_signs(b, sign), bits))
+    return tuple(bit[(i, n + 1 - j)] for i, j in _signs(reverse_columns(b), sign))
+
+
 def right_below_family(b, bits):
     """n by n matrices right interlacing below the (n+1) by (n+1) matrix b."""
-    n = len(b) - 1
-    under = right_corner_sums(b)
-
-    def g(i, j):
-        return under[i - 1][j - 1]
-
-    choices = {}
-    for pos, bit in zip(_signs(b, -1), bits):
-        i, j = pos
-        choices[(i - 1, j)] = bit
-    out = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lo = max(g(i, j + 1), g(i + 1, j) - 1)
-            hi = min(g(i, j), g(i + 1, j + 1))
-            assert hi - lo in (0, 1), (i, j)
-            if hi > lo:
-                out[i - 1][j - 1] = hi if choices[(i, j)] else lo
-            else:
-                out[i - 1][j - 1] = lo
-    return asm_from_right_sums(out)
+    r = reverse_columns(b)
+    return reverse_columns(left_below_family(r, _mirror_bits(b, -1, bits)))
 
 
 def right_above_family(b, bits):
     """(n+1) by (n+1) matrices right interlacing above the n by n matrix b."""
-    n = len(b)
-    under = right_corner_sums(b)
-
-    def g(i, j):
-        return under[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else None
-
-    choices = {}
-    for pos, bit in zip(_signs(b, 1), bits):
-        i, j = pos
-        choices[(i, j + 1)] = bit
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if j == 1:
-                out[i - 1][j - 1] = i
-                continue
-            if i == n + 1:
-                out[i - 1][j - 1] = n + 2 - j
-                continue
-            lows = [g(i, j), g(i - 1, j - 1)]
-            highs = [g(i - 1, j), g(i, j - 1)]
-            lo = max(v for v in lows if v is not None) if any(
-                v is not None for v in lows
-            ) else 0
-            his = [v + 1 for v in [highs[0]] if v is not None] + [
-                v for v in [highs[1]] if v is not None
-            ]
-            hi = min(his) if his else lo
-            assert hi - lo in (0, 1), (i, j, lo, hi)
-            if hi > lo:
-                out[i - 1][j - 1] = hi if choices.get((i, j), 0) else lo
-            else:
-                out[i - 1][j - 1] = lo
-    return asm_from_right_sums(out)
+    r = reverse_columns(b)
+    return reverse_columns(left_above_family(r, _mirror_bits(b, 1, bits)))

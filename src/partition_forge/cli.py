@@ -628,10 +628,11 @@ def resolve(args, bounds, name):
 
     args itself is left as parsed, because the report echoes only the bounds
     that were given.  A missing REQUIRED bound, a bound the command does not
-    read and a malformed profile are usage errors.
+    read, a negative integer bound, fewer than one point and a malformed
+    profile are usage errors.
     """
     b = argparse.Namespace(**vars(args))
-    for bound in BOUNDS:
+    for bound, kind in BOUNDS.items():
         flag = "--" + bound.replace("_", "-")
         given = getattr(args, bound, None)
         if bound not in bounds:
@@ -641,6 +642,10 @@ def resolve(args, bounds, name):
             if bounds[bound] is REQUIRED:
                 usage_error("%s required" % flag)
             setattr(b, bound, bounds[bound])
+        elif kind is int and given < 0:
+            usage_error("%s must be >= 0" % flag)
+    if getattr(args, "points", 1) < 1:
+        usage_error("--points must be >= 1")
     if getattr(b, "profile", None) is not None and not valid_profile(b.profile):
         usage_error("malformed profile %r" % b.profile)
     return b
@@ -752,6 +757,8 @@ def _run(args, budget):
         print("error: %s" % e, file=sys.stderr)
         return 2
     records = [r for chunk in chunks for r in chunk]
+    if not records:
+        usage_error("nothing to compare at these bounds")
     report = assemble_report(args, records)
     write_out(emit(report, args.format), args.out)
     return 0 if report["ok"] else 1

@@ -118,12 +118,7 @@ def reverse_robinson(value, position):
             rho, x = fomin_reverse(grid[i][j], grid[i][j - 1], grid[i - 1][j])
             grid[i - 1][j - 1] = rho
             matrix[i - 1][j - 1] = x
-    perm = [0] * n
-    for j in range(n):
-        ones = [i for i in range(n) if matrix[i][j]]
-        assert len(ones) == 1
-        perm[j] = ones[0] + 1
-    return tuple(perm)
+    return big_to_perm(matrix)
 
 
 def chain_content(chain):

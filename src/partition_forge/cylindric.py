@@ -11,6 +11,7 @@ where i indexes a '1' of pi, j a '0', w is the winding number and the hook of
 the box is j - i + w*T.
 """
 
+from . import series
 from .partitions import (
     hstrips_down,
     hstrips_up,
@@ -36,12 +37,12 @@ def rotate_profile(pi):
 
 def validate_cpp(pi, seq):
     T = len(pi)
-    assert len(seq) == T + 1 and seq[0] == seq[T]
+    if len(seq) != T + 1 or seq[0] != seq[T]:
+        raise AssertionError("not a closed sequence of %d steps: %r" % (T, seq))
     for k in range(1, T + 1):
-        if pi[k - 1] == "1":
-            assert is_horizontal_strip(seq[k], seq[k - 1]), (pi, seq, k)
-        else:
-            assert is_horizontal_strip(seq[k - 1], seq[k]), (pi, seq, k)
+        outer, inner = (seq[k], seq[k - 1]) if pi[k - 1] == "1" else (seq[k - 1], seq[k])
+        if not is_horizontal_strip(outer, inner):
+            raise AssertionError((pi, seq, k))
     return tuple(map(tuple, seq))
 
 
@@ -385,11 +386,6 @@ def diag_weight(pi, labels, k):
 # the unrefined product identity
 
 
-def cylindric_hooks(pi, max_hook):
-    """Hooks of all boxes, with multiplicity, up to max_hook."""
-    return sorted(box_hook(pi, box) for box in cylindric_boxes(pi, max_hook))
-
-
 def borodin_lhs(pi, max_weight):
     """Coefficient list: number of cylindric plane partitions by weight."""
     counts = [0] * (max_weight + 1)
@@ -400,16 +396,11 @@ def borodin_lhs(pi, max_weight):
 
 def borodin_rhs(pi, max_weight):
     """Expand the hook-product side of the identity up to z^max_weight."""
-    from . import series
-
-    T = len(pi)
     keep = series.degree_cap(max_weight)
-    factors = []
-    for n in range(max_weight // T + 1):
-        factors.append(series.binomial_factor(((n + 1) * T,), -1, keep))
-    for h in cylindric_hooks(pi, max_weight):
-        factors.append(series.binomial_factor((h,), -1, keep))
-    total = series.product(factors, 1, keep)
+    diagonal, boxes = hook_vectors(pi, max_weight)
+    total = series.product(
+        [series.binomial_factor((sum(v),), -1, keep) for v in diagonal + boxes], 1, keep
+    )
     return [series.coefficient(total, (d,)) for d in range(max_weight + 1)]
 
 
@@ -432,6 +423,18 @@ def hook_exponent_vector(pi, i, j, winding):
     return tuple(exps)
 
 
+def hook_vectors(pi, max_weight):
+    """Exponent vectors v of the hook-product factors 1/(1 - z^v), as
+    (diagonal, boxes): powers of z_1...z_T, then one hook_exponent_vector per
+    box by increasing hook (less work to expand than the box order).
+    The unrefined product sets every z_k = z, so its exponents are sum(v).
+    """
+    T = len(pi)
+    diagonal = [(n + 1,) * T for n in range(max_weight // T + 1)]
+    boxes = [hook_exponent_vector(pi, *box) for box in cylindric_boxes(pi, max_weight)]
+    return diagonal, sorted(boxes, key=sum)
+
+
 def borodin_refined_lhs(pi, max_weight):
     """dict: refined weight vector -> count."""
     out = {}
@@ -442,16 +445,8 @@ def borodin_refined_lhs(pi, max_weight):
 
 
 def borodin_refined_rhs(pi, max_weight):
-    from . import series
-
-    T = len(pi)
-    keepv = series.degree_cap(max_weight)
-    factors = []
-    for n in range(max_weight // T + 1):
-        e = ((n + 1),) * T
-        if keepv(e):
-            factors.append(series.binomial_factor(e, -1, keepv))
-    for i, j, w in cylindric_boxes(pi, max_weight):
-        e = hook_exponent_vector(pi, i, j, w)
-        factors.append(series.binomial_factor(e, -1, keepv))
-    return series.product(factors, T, keepv)
+    keep = series.degree_cap(max_weight)
+    diagonal, boxes = hook_vectors(pi, max_weight)
+    return series.product(
+        [series.binomial_factor(v, -1, keep) for v in diagonal + boxes], len(pi), keep
+    )

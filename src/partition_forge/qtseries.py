@@ -6,16 +6,16 @@ Alphabets are dicts mapping (n, m) to integer multiplicities, and
 Omega[alphabet] is again such a factor product.
 """
 
+from itertools import chain
+
 from . import series
 from .partitions import conjugate
 from .cylindric import (
     check_profile,
     cpp_refined_weight,
     cpp_weight,
-    cylindric_boxes,
-    cylindric_hooks,
     enumerate_cpps,
-    hook_exponent_vector,
+    hook_vectors,
     validate_cpp,
 )
 from .paths import dc_alphabet
@@ -164,15 +164,16 @@ def _pochhammer(vec, max_weight, qt_cap):
 def qt_borodin_rhs(pi, max_weight, qt_cap):
     """Hook side of the Macdonald identity, truncated."""
     check_profile(pi)
-    T = len(pi)
+    diagonal, boxes = hook_vectors(pi, max_weight)
     keep = lambda e: e[0] <= max_weight and e[1] + e[2] <= qt_cap
-    total = series.one(3)
-    for n in range(max_weight // T + 1):
-        f = series.binomial_factor(((n + 1) * T, 0, 0), -1, keep)
-        total = series.mul(total, f, keep)
-    for h in cylindric_hooks(pi, max_weight):
-        total = series.mul(total, pochhammer_ratio(h, max_weight, qt_cap), keep)
-    return total
+    return series.product(
+        chain(
+            (series.binomial_factor((sum(v), 0, 0), -1, keep) for v in diagonal),
+            (pochhammer_ratio(sum(v), max_weight, qt_cap) for v in boxes),
+        ),
+        3,
+        keep,
+    )
 
 
 def _graded_weights(pi, max_weight, qt_cap, grade):
@@ -206,15 +207,16 @@ def qt_refined_lhs(pi, max_weight, qt_cap):
 def qt_refined_rhs(pi, max_weight, qt_cap):
     check_profile(pi)
     T = len(pi)
+    diagonal, boxes = hook_vectors(pi, max_weight)
 
     def keep(e):
         return sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
 
-    total = series.one(T + 2)
-    for n in range(max_weight // T + 1):
-        f = series.binomial_factor(((n + 1),) * T + (0, 0), -1, keep)
-        total = series.mul(total, f, keep)
-    for i, j, w in cylindric_boxes(pi, max_weight):
-        vec = hook_exponent_vector(pi, i, j, w)
-        total = series.mul(total, _pochhammer(vec, max_weight, qt_cap), keep)
-    return total
+    return series.product(
+        chain(
+            (series.binomial_factor(v + (0, 0), -1, keep) for v in diagonal),
+            (_pochhammer(v, max_weight, qt_cap) for v in boxes),
+        ),
+        T + 2,
+        keep,
+    )

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -25,6 +27,27 @@ def test_validate_rejects():
     with pytest.raises(AssertionError):
         A.validate_asm(((1, 1), (0, 0)))
     A.validate_asm(((0, 1), (1, 0)))
+
+
+def test_validators_raise_under_python_O():
+    # validation must not rest on assert statements, which -O strips
+    code = """
+from partition_forge.asm import validate_asm
+from partition_forge.cylindric import validate_cpp
+for check in (
+    lambda: validate_asm(((0, 1), (1, -1))),
+    lambda: validate_asm(((1, 1), (0, 0))),
+    lambda: validate_cpp("10", ((), (1,), (1,))),
+    lambda: validate_cpp("10", ((), ())),
+):
+    try:
+        check()
+    except AssertionError:
+        continue
+    raise SystemExit("accepted")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_counts_match_formula():
@@ -92,15 +115,30 @@ def test_inversion_left_sum_criterion():
 
 
 def test_dual_inversion_mirror():
-    # dual inversions of M at (i, j) are inversions of the column-reversal
-    # at (i, n + 1 - j)
-    for m in A.enumerate_asms(4):
-        r = A.reverse_columns(m)
-        got = sorted((i, 5 - j) for (i, j) in A.dual_inversions(m))
-        assert got == sorted(A.inversions(r))
-        assert A.right_corner_sums(m) == tuple(
-            tuple(reversed(row)) for row in A.left_corner_sums(r)
-        )
+    # right corner sums and dual inversions against their definitions,
+    # computed here entry by entry
+    for n in range(1, 5):
+        for m in A.enumerate_asms(n):
+            under = tuple(
+                tuple(
+                    sum(m[a][b] for a in range(i) for b in range(j - 1, n))
+                    for j in range(1, n + 1)
+                )
+                for i in range(1, n + 1)
+            )
+            assert A.right_corner_sums(m) == under
+            dual = [
+                (i, j)
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+                if m[i - 1][j - 1] == 0
+                and sum(m[i - 1][: j - 1]) == 1
+                and sum(m[a][j - 1] for a in range(i, n)) == 1
+            ]
+            assert A.dual_inversions(m) == dual
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert A.is_dual_inversion(m, i, j) == ((i, j) in dual)
 
 
 def test_left_right_sum_complement():
@@ -127,11 +165,27 @@ FAMILY_LEFT = {
 }
 
 
+# right_above_family of B3 at bit tuples that set one sign each; row 2 of
+# B3 holds two signs, so these pin which bit belongs to which sign
+B3 = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
+
+FAMILY_RIGHT_ABOVE = {
+    (0, 0, 0, 0): ((0, 1, 0, 0), (1, -1, 1, 0), (0, 1, -1, 1), (0, 0, 1, 0)),
+    (1, 0, 0, 0): ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, -1, 1), (0, 0, 1, 0)),
+    (0, 1, 0, 0): ((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, -1, 1), (0, 0, 1, 0)),
+    (0, 0, 1, 0): ((0, 1, 0, 0), (1, -1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
+    (0, 0, 0, 1): ((0, 1, 0, 0), (1, -1, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
+    (1, 1, 1, 1): ((0, 0, 1, 0), (0, 1, -1, 1), (1, -1, 1, 0), (0, 1, 0, 0)),
+}
+
+
 def test_interlacing_families_fixture():
     for bits, want in FAMILY_RIGHT.items():
         assert A.right_below_family(X4, bits) == want
     for bits, want in FAMILY_LEFT.items():
         assert A.left_below_family(X4, bits) == want
+    for bits, want in FAMILY_RIGHT_ABOVE.items():
+        assert A.right_above_family(B3, bits) == want
 
 
 def test_family_complement_and_extremes():

@@ -1,9 +1,11 @@
+import contextlib
+import io
 import json
-import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partition_forge import cli
 
@@ -74,12 +76,10 @@ def test_instance_cap_exit_2(capsys):
     assert "cap" in err
 
 
-def test_determinism_across_threads(tmp_path):
-    env = dict(os.environ)
+def test_determinism_across_runs(tmp_path):
     outs = []
-    for threads in ("1", "4"):
-        out = str(tmp_path / ("r%s.json" % threads))
-        env["PARTITION_FORGE_THREADS"] = threads
+    for run in ("1", "2"):
+        out = str(tmp_path / ("r%s.json" % run))
         subprocess.check_call(
             [
                 sys.executable,
@@ -92,8 +92,7 @@ def test_determinism_across_threads(tmp_path):
                 "5",
                 "--out",
                 out,
-            ],
-            env=env,
+            ]
         )
         with open(out, "rb") as f:
             outs.append(f.read())
@@ -191,6 +190,13 @@ USAGE_ERRORS = [
     ("verify-correspondences --n 3", "unrecognized arguments: --n 3"),
     ("verify-macmahon --max-weight 2 --out /nonexistent/r.json", "error: cannot write"),
     ("enumerate --max-weight 2 --out /nonexistent/e.json", "error: cannot write"),
+    ("verify-borodin --profile 10 --max-weight -1", "error: --max-weight must be >= 0"),
+    ("verify-qt-borodin --profile 10 --qt-degree -1", "error: --qt-degree must be >= 0"),
+    ("verify-asm --n -1", "error: --n must be >= 0"),
+    ("enumerate --kind asms --n -1", "error: --n must be >= 0"),
+    ("verify-lambda-det --n 2 --points 0", "error: --points must be >= 1"),
+    ("verify-aztec --n 0", "error: nothing to compare at these bounds"),
+    ("verify-lambda-det --n 0", "error: nothing to compare at these bounds"),
 ]
 
 
@@ -209,6 +215,44 @@ def test_zero_bound_is_not_the_default(tmp_path):
     assert run_cli(["verify-stanley", "--n", "0", "--max-weight", "3", "--out", out]) == 0
     shapes = [r["degree"] for r in read_report(out)["coefficients"] if r["degree"][0] == "("]
     assert shapes == ["(empty):z^0"]
+    # zero bounds that still compare something run
+    for argv in (["verify-asm", "--n", "0"], ["verify-macmahon", "--max-weight", "0"]):
+        assert run_cli(argv + ["--out", out]) == 0
+        assert read_report(out)["coefficients"]
+
+
+@st.composite
+def verify_argv(draw):
+    """A verify command with every bound it reads drawn small, negative included."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command]
+    for bound in sorted(cli.COMMANDS[command][0]):
+        if bound == "profile":
+            value = draw(st.sampled_from([None, "10", "011", "1", "2X"]))
+        else:
+            value = draw(st.integers(-2, 3))
+        if value is not None:
+            argv += ["--" + bound.replace("_", "-"), str(value)]
+    argv += ["--points", str(draw(st.integers(-2, 3)))]
+    if draw(st.booleans()):
+        argv.append("--perturb")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(verify_argv())
+def test_every_run_exits_0_1_or_2_and_0_compares_something(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse rejects before main's own handling
+            code = e.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert json.loads(stdout.getvalue())["coefficients"], argv
+    if code == 2:
+        assert stdout.getvalue() == "" and "error: " in stderr.getvalue(), argv
 
 
 def test_tasks_call_checks_bound_after_import(tmp_path, monkeypatch):
