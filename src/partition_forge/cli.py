@@ -120,14 +120,8 @@ def check_weight_simplification(pi, max_weight, budget):
 def check_stanley(shape, max_weight, budget):
     if not shape:
         return [record("(empty):z^0", 1, 1)]
-    pi = partitions.minimal_profile(shape)
-    seqs = [
-        seq for seq in cylindric.enumerate_cpps(pi, max_weight) if seq[0] == ()
-    ]
-    budget.spend(len(seqs))
-    lhs = [0] * (max_weight + 1)
-    for seq in seqs:
-        lhs[cylindric.cpp_weight(seq)] += 1
+    lhs = cylindric.borodin_lhs(partitions.minimal_profile(shape), max_weight, ())
+    budget.spend(sum(lhs))
     keep = series.degree_cap(max_weight)
     rhs = series.product(
         [

@@ -22,7 +22,8 @@ from .correspondences import burge_down, burge_up
 
 
 def check_profile(pi):
-    assert pi and set(pi) <= {"0", "1"}
+    if not pi or not set(pi) <= {"0", "1"}:
+        raise AssertionError("malformed profile %r" % (pi,))
     return pi
 
 
@@ -120,8 +121,8 @@ def is_valid_box(pi, box):
 def validate_alcd(pi, labels):
     check_profile(pi)
     for box, m in labels.items():
-        assert is_valid_box(pi, box), (pi, box)
-        assert m > 0
+        if not is_valid_box(pi, box) or m <= 0:
+            raise AssertionError((pi, box, m))
     return dict(labels)
 
 
@@ -386,11 +387,48 @@ def diag_weight(pi, labels, k):
 # the unrefined product identity
 
 
-def borodin_lhs(pi, max_weight):
-    """Coefficient list: number of cylindric plane partitions by weight."""
+def borodin_lhs(pi, max_weight, base=None):
+    """Coefficient list: number of cylindric plane partitions by weight.
+
+    Only those with mu^0 == base when a base is given.  A CPP is a closed
+    walk mu^0 -> mu^1 -> ... -> mu^T = mu^0 of horizontal strips, so the count
+    is a transfer-matrix sum: for each base, walks that reach the same state
+    (mu^k, weight so far) are added up, and those that step back onto mu^0 are
+    counted.  No CPP is built; the weight budget prunes as in enumerate_cpps.
+    """
+    check_profile(pi)
     counts = [0] * (max_weight + 1)
-    for seq in enumerate_cpps(pi, max_weight):
-        counts[cpp_weight(seq)] += 1
+    down = {}  # mu -> hstrips_down(mu)
+    bases = partitions_upto(max_weight) if base is None else [tuple(base)]
+    for mu0 in bases:
+        if sum(mu0) > max_weight:
+            continue
+        # a walk's weight counts |mu^T| = |mu^0| from the start
+        states = {mu0: {sum(mu0): 1}}
+        for step in pi[:-1]:
+            nxt = {}
+            for mu, walks in states.items():
+                room = max_weight - min(walks)
+                if step == "1":
+                    cand = hstrips_up(mu, room) if room >= sum(mu) else ()
+                else:
+                    if mu not in down:
+                        down[mu] = hstrips_down(mu)
+                    cand = down[mu]
+                for la in cand:
+                    size = sum(la)
+                    if size > room:
+                        continue
+                    reached = nxt.setdefault(la, {})
+                    for w, n in walks.items():
+                        if w + size <= max_weight:
+                            reached[w + size] = reached.get(w + size, 0) + n
+            states = nxt
+        for mu, walks in states.items():
+            outer, inner = (mu0, mu) if pi[-1] == "1" else (mu, mu0)
+            if is_horizontal_strip(outer, inner):
+                for w, n in walks.items():
+                    counts[w] += n
     return counts
 
 

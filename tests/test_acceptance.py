@@ -34,6 +34,13 @@ def test_borodin_identity_desk_scale():
     assert time.time() - start < 120
 
 
+def test_borodin_identity_stretch_bound():
+    start = time.time()
+    # 584,704 CPPs of weight <= 28 over a profile of length 6
+    verified(["verify-borodin", "--profile", "110100", "--max-weight", "28"], 29)
+    assert time.time() - start < 10
+
+
 def test_qt_borodin_desk_scale():
     start = time.time()
     for pi in cli.mixed_profiles(4):

@@ -33,12 +33,16 @@ def test_validators_raise_under_python_O():
     # validation must not rest on assert statements, which -O strips
     code = """
 from partition_forge.asm import validate_asm
-from partition_forge.cylindric import validate_cpp
+from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
     lambda: validate_asm(((1, 1), (0, 0))),
     lambda: validate_cpp("10", ((), (1,), (1,))),
     lambda: validate_cpp("10", ((), ())),
+    lambda: check_profile("2X"),
+    lambda: check_profile(""),
+    lambda: validate_alcd("10", {(2, 1, 0): 1}),
+    lambda: validate_alcd("10", {(1, 2, 0): 0}),
 ):
     try:
         check()

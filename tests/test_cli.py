@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from partition_forge import cli
+from partition_forge import cylindric
 
 
 def run_cli(args, **kw):
@@ -74,6 +75,26 @@ def test_instance_cap_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cap" in err
+
+
+def test_counting_checks_list_no_cpps(monkeypatch):
+    # verify-borodin and verify-stanley count CPPs without listing them, and
+    # charge the cap with the number of CPPs they count
+    listed = len(cylindric.enumerate_cpps("10100", 8))
+    listed_on_empty_base = sum(
+        1 for seq in cylindric.enumerate_cpps("1100", 8) if seq[0] == ()
+    )
+
+    def refuse(*args):
+        raise RuntimeError("enumerate_cpps called")
+
+    monkeypatch.setattr(cylindric, "enumerate_cpps", refuse)
+    budget = cli.Budget(10 ** 6)
+    assert len(cli.check_borodin("10100", 8, budget)) == 9
+    assert budget.used == listed
+    budget = cli.Budget(10 ** 6)
+    assert len(cli.check_stanley((2, 2), 8, budget)) == 9
+    assert budget.used == listed_on_empty_base
 
 
 def test_determinism_across_runs(tmp_path):

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from partition_forge import cli
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
 
@@ -53,6 +54,24 @@ def test_enumerate_cpps_pure():
         t = len(pi)
         want = sum(1 for mu in P.partitions_upto(6 // t) if t * sum(mu) <= 6)
         assert len(cpps) == want
+
+
+def _listed_counts(pi, max_weight, base=None):
+    counts = [0] * (max_weight + 1)
+    for seq in Y.enumerate_cpps(pi, max_weight):
+        if base is None or seq[0] == base:
+            counts[Y.cpp_weight(seq)] += 1
+    return counts
+
+
+def test_transfer_matrix_counts_match_listing():
+    # the transfer-matrix count against the tally of the listed CPPs
+    for pi in cli.sweep(None, 5):
+        assert Y.borodin_lhs(pi, 8) == _listed_counts(pi, 8), pi
+    # the shapes verify-stanley checks; the empty one has no profile
+    for shape in P.partitions_upto(5)[1:]:
+        pi = P.minimal_profile(shape)
+        assert Y.borodin_lhs(pi, 8, ()) == _listed_counts(pi, 8, ()), shape
 
 
 def test_borodin_identity_small():
