@@ -11,6 +11,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 from . import asm as asmmod
 from . import aztec
@@ -139,19 +140,13 @@ def check_stanley(shape, max_weight, budget):
 
 
 def _count_plane_partitions(max_weight):
-    shapes = partitions.partitions_upto(max_weight)
-    counts = [0] * (max_weight + 1)
-    counts[0] = 1
+    """Plane partitions by weight, up to max_weight.
 
-    def rec(prev, total):
-        for row in shapes:
-            w = sum(row)
-            if 0 < w and total + w <= max_weight and partitions.contains(prev, row):
-                counts[total + w] += 1
-                rec(row, total + w)
-
-    rec((max_weight,) * max_weight, 0)
-    return counts
+    One of weight <= W fits in the W x W square, so turned half a turn it is
+    a reverse plane partition of that square, counted as for verify-stanley.
+    """
+    side = max(max_weight, 1)
+    return cylindric.borodin_lhs("1" * side + "0" * side, max_weight, ())
 
 
 def check_macmahon(max_weight, budget):
@@ -280,23 +275,9 @@ def corr_permutations(n):
     return permutations(range(1, n + 1))
 
 
-def factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def standard_count(la):
-    n = sum(la)
-    if n == 0:
-        return 1
-    total = 0
-    for row in range(1, len(la) + 1):
-        # a box comes off row only at a corner
-        if row == len(la) or la[row - 1] > la[row]:
-            total += standard_count(partitions.remove_box(la, row))
-    return total
+    """Standard tableaux of shape la: semistandard ones with content 1^|la|."""
+    return ssyt_count(la, (1,) * sum(la))
 
 
 def compositions(n, k):
@@ -429,6 +410,7 @@ def check_lambda_det(max_n, points, seed, budget):
     for n in range(2, max_n + 1):
         good = 0
         budget.spend(points)
+        forms = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
         done = 0
         while done < points:
             lam = [[rnd() for _ in range(n)] for _ in range(n)]
@@ -437,12 +419,12 @@ def check_lambda_det(max_n, points, seed, budget):
             y = [[rnd() for _ in range(n + 1)] for _ in range(n + 1)]
             try:
                 levels = lambdadet.pyramid(n, lam, mu, x, y)
-            except (ZeroDivisionError, AssertionError):
+            except ZeroDivisionError:
                 continue
             done += 1
             if all(
                 levels[k][0][0]
-                == lambdadet.closed_form_value(n, k, lam, mu, x, y)
+                == lambdadet.closed_form_value(forms[k - 1], lam, mu, x, y)
                 for k in range(1, n + 1)
             ):
                 good += 1
@@ -482,22 +464,7 @@ def check_lambda_det(max_n, points, seed, budget):
 
 
 def _robbins_rumsey_symbolic(n):
-    total = lambdadet.lp_const(0)
-    lam = lambdadet.lp_monomial({("l", 0, 0): 1})
-    one_plus = lambdadet.lp_add(lambdadet.lp_const(1), lam)
-    for b in asmmod.enumerate_asms(n):
-        exps = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if b[i - 1][j - 1]:
-                    exps[("x", i, j)] = b[i - 1][j - 1]
-        term = lambdadet.lp_monomial(exps)
-        for _ in asmmod.inversions(b):
-            term = lambdadet.lp_mul(term, lam)
-        for _ in range(sum(1 for row in b for v in row if v == -1)):
-            term = lambdadet.lp_mul(term, one_plus)
-        total = lambdadet.lp_add(total, term)
-    return lambdadet.Rat(total)
+    return lambdadet.Rat(lambdadet.robbins_rumsey_symbolic(n))
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +580,6 @@ def usage_error(message):
     raise SystemExit(2)
 
 
-def valid_profile(pi):
-    return pi and set(pi) <= {"0", "1"}
-
-
 def resolve(args, bounds, name):
     """A copy of args with each bound in bounds set: as given, else its default.
 
@@ -640,8 +603,11 @@ def resolve(args, bounds, name):
             usage_error("%s must be >= 0" % flag)
     if getattr(args, "points", 1) < 1:
         usage_error("--points must be >= 1")
-    if getattr(b, "profile", None) is not None and not valid_profile(b.profile):
-        usage_error("malformed profile %r" % b.profile)
+    if getattr(b, "profile", None) is not None:
+        try:
+            cylindric.check_profile(b.profile)
+        except AssertionError as e:
+            usage_error(str(e))
     return b
 
 

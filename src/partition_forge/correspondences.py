@@ -11,6 +11,7 @@ from .partitions import (
     contains,
     intersect,
     is_horizontal_strip,
+    remove_box,
     union,
 )
 
@@ -42,7 +43,7 @@ def fomin_reverse(la, mu, nu):
         row = next(i for i in range(1, len(la) + 1) if la[i - 1] != (mu + (0,) * len(la))[i - 1])
         if row == 1:
             return mu, 1
-        return remove_row(mu, row - 1), 0
+        return remove_box(mu, row - 1), 0
     if mu == nu == la:
         return la, 0
     if mu == la and nu != la:
@@ -51,12 +52,6 @@ def fomin_reverse(la, mu, nu):
         return mu, 0
     assert mu != nu and mu != la and nu != la
     return intersect(mu, nu), 0
-
-
-def remove_row(la, row):
-    la = list(la)
-    la[row - 1] -= 1
-    return tuple(a for a in la if a > 0)
 
 
 def growth_diagram(matrix, left=None, bottom=None):

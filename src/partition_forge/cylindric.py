@@ -130,11 +130,6 @@ def alcd_weight(pi, labels):
     return sum(m * box_hook(pi, box) for box, m in labels.items())
 
 
-def alcd_depth(labels):
-    """Smallest d with no labelled box of winding >= d."""
-    return max((w + 1 for (_, _, w) in labels), default=0)
-
-
 def normalize_box(a, b, T):
     """Cover coordinates (a, b) -> canonical (i, j, w) with 1 <= i <= T."""
     r = (a - 1) // T

@@ -60,7 +60,8 @@ class Rat(object):
     def __init__(self, num, den=None):
         self.num = num
         self.den = lp_const(1) if den is None else den
-        assert self.den, "zero denominator"
+        if not self.den:
+            raise ZeroDivisionError("zero denominator")
 
     def __add__(self, other):
         return Rat(
@@ -72,7 +73,8 @@ class Rat(object):
         return Rat(lp_mul(self.num, other.num), lp_mul(self.den, other.den))
 
     def __truediv__(self, other):
-        assert other.num, "division by zero"
+        if not other.num:
+            raise ZeroDivisionError("division by zero")
         return Rat(lp_mul(self.num, other.den), lp_mul(self.den, other.num))
 
     def __eq__(self, other):
@@ -168,7 +170,9 @@ def closed_form_symbolic(n, k):
     )
 
 
-def closed_form_value(n, k, lam, mu, x, y):
+def closed_form_value(form, lam, mu, x, y):
+    """A closed form of closed_form_symbolic evaluated at a numeric point."""
+    n = len(x)
     point = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -178,7 +182,7 @@ def closed_form_value(n, k, lam, mu, x, y):
     for i in range(1, n + 2):
         for j in range(1, n + 2):
             point[("y", i, j)] = y[i - 1][j - 1]
-    return lp_eval(closed_form_symbolic(n, k), point)
+    return lp_eval(form, point)
 
 
 def corollary_symbolic(n):
@@ -221,21 +225,29 @@ def corollary_value(n, lam, mu, m):
     return lp_eval(corollary_symbolic(n), point)
 
 
-def robbins_rumsey_value(n, lam, m):
-    """One-parameter specialization: sum over sign matrices of
+def robbins_rumsey_symbolic(n):
+    """One-parameter specialization (Robbins and Rumsey 1986): every lam entry
+    is ("l", 0, 0) and mu = y = 1, giving the sum over sign matrices of
     lam^inversions (1 + lam)^(number of -1 entries) times the monomial."""
-    lam = Fraction(lam)
-    total = Fraction(0)
+    one_plus = lp_add(lp_const(1), lp_monomial({("l", 0, 0): 1}))
+    total = lp_const(0)
     for b in A.enumerate_asms(n):
-        term = lam ** len(A.inversions(b)) * (1 + lam) ** sum(
-            1 for row in b for v in row if v == -1
-        )
-        for i in range(n):
-            for j in range(n):
-                if b[i][j]:
-                    term *= Fraction(m[i][j]) ** b[i][j]
-        total += term
+        exps = {("x", i + 1, j + 1): v for i, row in enumerate(b) for j, v in enumerate(row)}
+        exps[("l", 0, 0)] = len(A.inversions(b))
+        term = lp_monomial(exps)
+        for _ in range(sum(1 for row in b for v in row if v == -1)):
+            term = lp_mul(term, one_plus)
+        total = lp_add(total, term)
     return total
+
+
+def robbins_rumsey_value(n, lam, m):
+    """robbins_rumsey_symbolic(n) at the value lam and the matrix m."""
+    point = {("l", 0, 0): lam}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            point[("x", i, j)] = m[i - 1][j - 1]
+    return lp_eval(robbins_rumsey_symbolic(n), point)
 
 
 def lambda_determinant(n, m):

@@ -8,13 +8,9 @@ vertical one.
 
 def check_partition(la):
     la = tuple(la)
-    assert all(a >= b for a, b in zip(la, la[1:])), la
-    assert all(a > 0 for a in la), la
+    if any(a < b for a, b in zip(la, la[1:])) or any(a <= 0 for a in la):
+        raise AssertionError("not a partition: %r" % (la,))
     return la
-
-
-def weight(la):
-    return sum(la)
 
 
 def conjugate(la):
@@ -29,19 +25,6 @@ def contains(la, mu):
     if len(mu) > len(la):
         return False
     return all(a >= b for a, b in zip(la, mu))
-
-
-def order_compare(la, mu):
-    """Compare in the containment order: 'less', 'equal', 'greater' or 'incomparable'."""
-    if la == mu:
-        return "equal"
-    down = contains(mu, la)
-    up = contains(la, mu)
-    if down:
-        return "less"
-    if up:
-        return "greater"
-    return "incomparable"
 
 
 def union(la, mu):
@@ -105,11 +88,6 @@ def partition_of_profile(p):
     return tuple(a for a in la if a > 0)
 
 
-def conjugate_profile(p):
-    """Reverse the string and swap 0 <-> 1."""
-    return "".join("1" if b == "0" else "0" for b in reversed(p))
-
-
 def inversions(p):
     """Pairs (i, j), i < j, with p[i] = '1' and p[j] = '0'; one per box."""
     out = []
@@ -120,36 +98,12 @@ def inversions(p):
     return out
 
 
-def profile_arm(p, i, j):
-    """Number of '1's strictly between positions i and j."""
-    return p[i : j - 1].count("1")
-
-
-def profile_leg(p, i, j):
-    """Number of '0's strictly between positions i and j."""
-    return p[i : j - 1].count("0")
-
-
-def outside_corners(p):
-    """Positions i where p has '1' at i and '0' at i+1 (a '10' subword)."""
-    return [i for i in range(1, len(p)) if p[i - 1] == "1" and p[i] == "0"]
-
-
-def inside_corners(p):
-    """Positions i where p has '0' at i and '1' at i+1 (a '01' subword)."""
-    return [i for i in range(1, len(p)) if p[i - 1] == "0" and p[i] == "1"]
-
-
 def is_horizontal_strip(la, mu):
     """Whether la/mu is a horizontal strip (at most one box per column)."""
     if not contains(la, mu):
         return False
     mu = tuple(mu) + (0,) * (len(la) - len(mu))
     return all(la[i + 1] <= mu[i] for i in range(len(la) - 1))
-
-
-def is_vertical_strip(la, mu):
-    return is_horizontal_strip(conjugate(la), conjugate(mu))
 
 
 def hstrips_down(la):
@@ -222,17 +176,17 @@ def partitions_upto(n):
 
 def add_box(la, row):
     """Add one box in the given 1-indexed row."""
-    assert 1 <= row <= len(la) + 1
+    if not 1 <= row <= len(la) + 1:
+        raise AssertionError("no row %d to add a box to in %r" % (row, la))
     la = list(la) + [0] * max(0, row - len(la))
     la[row - 1] += 1
-    assert row == 1 or la[row - 2] >= la[row - 1]
-    return tuple(a for a in la if a > 0)
+    return check_partition(tuple(a for a in la if a > 0))
 
 
 def remove_box(la, row):
     """Remove one box from the given 1-indexed row."""
-    assert 1 <= row <= len(la)
+    if not 1 <= row <= len(la):
+        raise AssertionError("no row %d to remove a box from in %r" % (row, la))
     la = list(la)
     la[row - 1] -= 1
-    assert row == len(la) or la[row - 1] >= la[row]
     return check_partition(tuple(a for a in la if a > 0))

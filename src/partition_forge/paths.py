@@ -20,11 +20,6 @@ def path_points(path):
     return ys
 
 
-def path_model_profile(pi):
-    """Step string shared by all far-away paths of the family."""
-    return "".join("1" if b == "0" else "0" for b in reversed(pi))
-
-
 def cpp_to_paths(pi, seq):
     """Cylindric plane partition -> minimal family of paths."""
     seq = validate_cpp(pi, seq)

@@ -98,6 +98,3 @@ def substitute(a, var, target_var):
 def coefficient(a, exps):
     return a.get(tuple(exps), 0)
 
-
-def restrict(a, keep):
-    return {e: c for e, c in a.items() if keep(e)}

@@ -81,7 +81,10 @@ def test_stanley_and_macmahon_desk_scale():
     # then weight simplification over the 52 mixed profiles of length <= 5
     verified(["verify-stanley"], 66 * 13 + 1 + 52)
     verified(["verify-macmahon"], 9)
-    assert cli._count_plane_partitions(8)[:7] == [1, 1, 3, 6, 13, 24, 48]
+    # OEIS A000219
+    assert cli._count_plane_partitions(12) == [
+        1, 1, 3, 6, 13, 24, 48, 86, 160, 282, 500, 859, 1479
+    ]
     assert time.time() - start < 60
 
 

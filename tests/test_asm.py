@@ -34,6 +34,7 @@ def test_validators_raise_under_python_O():
     code = """
 from partition_forge.asm import validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
+from partition_forge.partitions import add_box, check_partition, remove_box
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
     lambda: validate_asm(((1, 1), (0, 0))),
@@ -43,6 +44,9 @@ for check in (
     lambda: check_profile(""),
     lambda: validate_alcd("10", {(2, 1, 0): 1}),
     lambda: validate_alcd("10", {(1, 2, 0): 0}),
+    lambda: check_partition((1, 2)),
+    lambda: add_box((1,), 3),
+    lambda: remove_box((2, 2), 1),
 ):
     try:
         check()

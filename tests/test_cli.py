@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from partition_forge import cli
 from partition_forge import cylindric
+from partition_forge import lambdadet
 
 
 def run_cli(args, **kw):
@@ -205,6 +206,7 @@ USAGE_ERRORS = [
     ("enumerate --kind tilings", "error: --n required"),
     ("enumerate --kind asms --n 2 --max-weight 3", "does not read --max-weight"),
     ("enumerate --kind cpps --profile 2X --max-weight 2", "malformed profile '2X'"),
+    ("verify-borodin --profile 12", "malformed profile '12'"),
     ("enumerate --format csv", "unrecognized arguments: --format csv"),
     ("enumerate --max-weight 2 --perturb", "unrecognized arguments: --perturb"),
     ("verify-stanley --profile 10", "unrecognized arguments: --profile 10"),
@@ -288,6 +290,23 @@ def test_tasks_call_checks_bound_after_import(tmp_path, monkeypatch):
     out = str(tmp_path / "r.json")
     assert run_cli(["verify-macmahon", "--max-weight", "2", "--out", out]) == 0
     assert calls == [2]
+
+
+def test_lambda_det_redraws_a_point_only_on_zero_division(monkeypatch):
+    # a degenerate point divides by zero and is redrawn; any other error from
+    # the recurrence is a fault and must not be skipped as degenerate
+    pyramid = lambdadet.pyramid
+    raised = []
+
+    def fails_once(*args):
+        if not raised:
+            raised.append(True)
+            raise AssertionError("broken recurrence")
+        return pyramid(*args)
+
+    monkeypatch.setattr(lambdadet, "pyramid", fails_once)
+    with pytest.raises(AssertionError):
+        cli.check_lambda_det(2, 2, 0, cli.Budget(10 ** 6))
 
 
 def test_frac_str():

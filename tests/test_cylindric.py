@@ -108,8 +108,6 @@ def test_alcd_stats():
     labels = {(1, 2, 0): 2, (3, 5, 0): 1, (1, 4, 1): 3}
     Y.validate_alcd(pi, labels)
     assert Y.alcd_weight(pi, labels) == 2 * 1 + 1 * 2 + 3 * 8
-    assert Y.alcd_depth(labels) == 2
-    assert Y.alcd_depth({}) == 0
 
 
 def test_alcd_rotation_round_trip():

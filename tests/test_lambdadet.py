@@ -72,7 +72,7 @@ def test_closed_form_matches_recurrence_numerically():
                 continue  # degenerate point, resample
             for k in range(1, n + 1):
                 assert levels[k][0][0] == D.closed_form_value(
-                    n, k, lam, mu, x, y
+                    D.closed_form_symbolic(n, k), lam, mu, x, y
                 ), (n, k)
             ok += 1
 
@@ -124,3 +124,7 @@ def test_zero_denominator_raises():
     m = [[Fraction(1)] * 2 for _ in range(2)]
     with pytest.raises(ZeroDivisionError):
         D.pyramid(2, m, m, m, y)
+    with pytest.raises(ZeroDivisionError):
+        Rat(lp_const(1), {})
+    with pytest.raises(ZeroDivisionError):
+        Rat(lp_const(1)) / Rat(lp_const(0))

@@ -21,7 +21,6 @@ def test_example_path_family():
     assert len(paths) == 7
     assert paths[0] == (2, "10101")
     assert paths[6] == (20, "11010")
-    assert L.path_model_profile(EXAMPLE_PI) == "11010"
     assert L.paths_to_cpp(EXAMPLE_PI, paths) == EXAMPLE_SEQ
 
 
@@ -90,7 +89,7 @@ def test_weight_function_collapses_at_q_equals_t():
             assert Q.fp_is_one_at_q_equals_t(w)
             keep = series.degree_cap(6)
             expanded = series.substitute(Q.fp_expand(w, keep), 1, 0)
-            assert series.restrict(expanded, series.degree_cap(6)) == expanded
+            assert all(sum(e) <= 6 for e in expanded)
             assert expanded == series.one(2)
 
 
