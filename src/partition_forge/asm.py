@@ -6,7 +6,7 @@ sums above-and-to-the-right.  Every right-hand construction is its
 left-hand twin conjugated by reverse_columns.
 """
 
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import factorial
 
 
@@ -30,13 +30,16 @@ def asm_count_formula(n):
     return num // den
 
 
+def _interlacing_rows(prev, n):
+    """Monotone-triangle rows over columns 1..n of size len(prev) + 1 that
+    interlace prev."""
+    for cur in combinations(range(1, n + 1), len(prev) + 1):
+        if all(cur[i] <= prev[i] <= cur[i + 1] for i in range(len(prev))):
+            yield cur
+
+
 def enumerate_asms(n):
     """Build matrices row by row from interlacing one-column-index subsets."""
-
-    def interlace(a, b):
-        # a strictly increasing of size k, b of size k+1
-        return all(b[i] <= a[i] <= b[i + 1] for i in range(len(a)))
-
     out = []
 
     def rec(chain):
@@ -53,14 +56,28 @@ def enumerate_asms(n):
                 )
             out.append(validate_asm(rows))
             return
-        from itertools import combinations
-
-        for nxt in combinations(range(1, n + 1), k + 1):
-            if interlace(chain[-1], nxt):
-                rec(chain + [nxt])
+        for nxt in _interlacing_rows(chain[-1], n):
+            rec(chain + [nxt])
 
     rec([()])
     return out
+
+
+def two_enumeration(n):
+    """Sum of 2^(number of -1 entries) over ASM(n), without listing them.
+
+    The chains of enumerate_asms are walked as a dynamic programme over their
+    last row: a matrix row has a -1 in each column that the previous chain
+    row holds and the next one drops.
+    """
+    weights = {(): 1}
+    for _ in range(n):
+        nxt = {}
+        for prev, w in weights.items():
+            for cur in _interlacing_rows(prev, n):
+                nxt[cur] = nxt.get(cur, 0) + w * 2 ** len(set(prev) - set(cur))
+        weights = nxt
+    return weights[tuple(range(1, n + 1))]
 
 
 def is_inversion(m, i, j):

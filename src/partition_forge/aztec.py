@@ -10,8 +10,6 @@ the tiling extended to the whole plane by horizontal bricks, yields an
 (n+1) by (n+1) one.
 """
 
-from functools import lru_cache
-
 from .asm import validate_asm
 
 A_DEGREE = {3: 0, 2: 1, 4: -1}
@@ -35,7 +33,8 @@ def cells(n):
         for y in range(-n - 1, n + 1)
         if cell_in_region(n, x, y)
     ]
-    assert len(out) == 2 * n * (n + 1)
+    if len(out) != 2 * n * (n + 1):
+        raise AssertionError("order %d diamond has %d cells" % (n, len(out)))
     return out
 
 
@@ -47,12 +46,14 @@ def domino_cells(d):
 def validate_tiling(n, tiling):
     covered = set()
     for d in tiling:
-        assert d[0] in ("h", "v")
+        if d[0] not in ("h", "v"):
+            raise AssertionError("not a domino: %r" % (d,))
         for c in domino_cells(d):
-            assert cell_in_region(n, *c)
-            assert c not in covered
+            if not cell_in_region(n, *c) or c in covered:
+                raise AssertionError("domino %r leaves the region or overlaps" % (d,))
             covered.add(c)
-    assert len(covered) == 2 * n * (n + 1)
+    if len(covered) != 2 * n * (n + 1):
+        raise AssertionError("tiling leaves cells of the order %d diamond uncovered" % n)
     return frozenset(tiling)
 
 
@@ -163,9 +164,80 @@ def _search(n, targets):
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_tilings(n):
     return _search(n, None)
+
+
+def _counter(n):
+    """Tiling counts over _search's state, memoised.
+
+    The state is the index of the first uncovered cell in _search's (y, x)
+    order and the bitmask of the covered cells from it on (bit k is the cell
+    k places later).  Returns the dominoes each cell may start, in the order
+    _search tries them ("h" before "v") with the offset of their second cell,
+    and the count of the tilings that complete a state.
+    """
+    order = sorted(cells(n), key=lambda c: (c[1], c[0]))
+    index = {c: i for i, c in enumerate(order)}
+    moves = [
+        [
+            (d, index[domino_cells(d)[1]] - i)
+            for d in (("h", x, y), ("v", x, y))
+            if domino_cells(d)[1] in index
+        ]
+        for i, (x, y) in enumerate(order)
+    ]
+    memo = {}
+
+    def count(idx, mask):
+        while mask & 1:
+            idx, mask = idx + 1, mask >> 1
+        if idx == len(moves):
+            return 1
+        if (idx, mask) not in memo:
+            memo[idx, mask] = sum(
+                count(idx, mask | 1 | 1 << off)
+                for _, off in moves[idx]
+                if not mask >> off & 1
+            )
+        return memo[idx, mask]
+
+    return moves, count
+
+
+def count_tilings(n):
+    _, count = _counter(n)
+    return count(0, 0)
+
+
+def tilings_at(n, ranks):
+    """The tilings at the given positions of enumerate_tilings(n), unlisted."""
+    moves, count = _counter(n)
+    total = count(0, 0)
+    out = []
+    for rank in ranks:
+        if not 0 <= rank < total:
+            raise IndexError("no tiling of rank %d among %d" % (rank, total))
+        dominoes = []
+        idx = mask = 0
+        while True:
+            while mask & 1:
+                idx, mask = idx + 1, mask >> 1
+            if idx == len(moves):
+                break
+            for d, off in moves[idx]:
+                if mask >> off & 1:
+                    continue
+                below = count(idx, mask | 1 | 1 << off)
+                if rank < below:
+                    dominoes.append(d)
+                    mask |= 1 | 1 << off
+                    break
+                rank -= below
+            else:
+                raise AssertionError("counts of the order %d diamond disagree" % n)
+        out.append(frozenset(dominoes))
+    return out
 
 
 def asms_to_tiling(n, a, b):
@@ -182,12 +254,11 @@ def asms_to_tiling(n, a, b):
                 b[r - 1][c - 1]
             ]
     found = _search(n, targets)
-    assert len(found) == 1, (len(found), a, b)
+    if len(found) != 1:
+        raise AssertionError("%d tilings mark as %r, %r" % (len(found), a, b))
     tiling = found[0]
-    assert tiling_to_asms(n, tiling) == (
-        validate_asm(a),
-        validate_asm(b),
-    )
+    if tiling_to_asms(n, tiling) != (validate_asm(a), validate_asm(b)):
+        raise AssertionError("tiling does not mark back as %r, %r" % (a, b))
     return tiling
 
 

@@ -67,7 +67,8 @@ def profile(la, zeros, ones):
     padded with zero parts.
     """
     la = tuple(la)
-    assert len(la) <= zeros and (not la or la[0] <= ones)
+    if len(la) > zeros or (la and la[0] > ones):
+        raise AssertionError("%r does not fit a %d x %d frame" % (la, zeros, ones))
     padded = la + (0,) * (zeros - len(la))
     zpos = {padded[zeros - k] + k for k in range(1, zeros + 1)}
     return "".join("0" if p in zpos else "1" for p in range(1, zeros + ones + 1))
@@ -131,7 +132,8 @@ def hstrips_up(mu, max_size):
     """
     mu = tuple(mu)
     budget = max_size - sum(mu)
-    assert budget >= 0
+    if budget < 0:
+        raise AssertionError("cap %d below |%r|" % (max_size, mu))
     out = []
     rows = len(mu) + 1
 

@@ -124,11 +124,20 @@ def test_asm_and_aztec_desk_scale():
             assert aztec.asms_to_tiling(n, a, b) == t
         assert len(pairs) == len(tilings)
     for n in (4, 5):
-        ordered = sorted(aztec.enumerate_tilings(n))
-        for t in ordered[:: len(ordered) // 64]:
+        tilings = aztec.enumerate_tilings(n)
+        for t in tilings[:: len(tilings) // 64]:
             a, b = aztec.tiling_to_asms(n, t)
             assert aztec.asms_to_tiling(n, a, b) == t
     assert time.time() - start < 180
+
+
+def test_aztec_stretch_bound():
+    start = time.time()
+    # 2^36 tilings counted, 32 sampled by rank, ASM(9) 2-enumerated
+    records = cli.check_aztec(8, cli.Budget(10 ** 12))
+    assert len(records) == 3 * 8
+    assert [r for r in records if not r["match"]] == []
+    assert time.time() - start < 20
 
 
 def test_lambda_determinant_desk_scale():

@@ -34,7 +34,8 @@ def test_validators_raise_under_python_O():
     code = """
 from partition_forge.asm import validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
-from partition_forge.partitions import add_box, check_partition, remove_box
+from partition_forge.aztec import validate_tiling
+from partition_forge.partitions import add_box, check_partition, hstrips_up, profile, remove_box
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
     lambda: validate_asm(((1, 1), (0, 0))),
@@ -47,6 +48,9 @@ for check in (
     lambda: check_partition((1, 2)),
     lambda: add_box((1,), 3),
     lambda: remove_box((2, 2), 1),
+    lambda: profile((3,), 0, 1),
+    lambda: hstrips_up((2,), 1),
+    lambda: validate_tiling(1, {("h", 0, 0)}),
 ):
     try:
         check()
@@ -62,6 +66,16 @@ def test_counts_match_formula():
     assert [A.asm_count_formula(n) for n in range(7)] == [1, 1, 2, 7, 42, 429, 7436]
     for n in range(1, 6):
         assert len(A.enumerate_asms(n)) == A.asm_count_formula(n)
+
+
+def test_two_enumeration_matches_listing():
+    for n in range(1, 7):
+        assert A.two_enumeration(n) == sum(
+            2 ** sum(1 for row in m for v in row if v == -1)
+            for m in A.enumerate_asms(n)
+        )
+    for n in range(10):
+        assert A.two_enumeration(n) == 2 ** (n * (n - 1) // 2)
 
 
 def test_corner_sum_fixture():

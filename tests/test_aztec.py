@@ -24,6 +24,11 @@ def identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+@pytest.fixture(scope="module")
+def tilings5():
+    return Z.enumerate_tilings(5)
+
+
 def test_cell_counts():
     for n in range(1, 6):
         assert len(Z.cells(n)) == 2 * n * (n + 1)
@@ -33,6 +38,14 @@ def test_cell_counts():
 def test_tiling_counts():
     for n in range(1, 5):
         assert len(Z.enumerate_tilings(n)) == 2 ** (n * (n + 1) // 2)
+
+
+def test_counting_and_ranking_match_listing(tilings5):
+    for n in range(1, 5):
+        assert Z.tilings_at(n, range(Z.count_tilings(n))) == Z.enumerate_tilings(n)
+    assert Z.tilings_at(5, range(Z.count_tilings(5))) == tilings5
+    for n in range(1, 9):
+        assert Z.count_tilings(n) == 2 ** (n * (n + 1) // 2)
 
 
 def test_count_identity_with_sign_matrices():
@@ -84,9 +97,8 @@ def test_round_trip_small():
             assert Z.asms_to_tiling(n, a, b) == t
 
 
-def test_round_trip_sample_n5():
-    ts = sorted(Z.enumerate_tilings(5))[:: len(Z.enumerate_tilings(5)) // 40]
-    for t in ts:
+def test_round_trip_sample_n5(tilings5):
+    for t in tilings5[:: len(tilings5) // 40]:
         a, b = Z.tiling_to_asms(5, t)
         assert Z.asms_to_tiling(5, a, b) == t
 

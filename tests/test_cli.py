@@ -7,6 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from partition_forge import asm as asmmod
+from partition_forge import aztec
 from partition_forge import cli
 from partition_forge import cylindric
 from partition_forge import lambdadet
@@ -96,6 +98,29 @@ def test_counting_checks_list_no_cpps(monkeypatch):
     budget = cli.Budget(10 ** 6)
     assert len(cli.check_stanley((2, 2), 8, budget)) == 9
     assert budget.used == listed_on_empty_base
+
+
+def test_aztec_check_counts_before_it_lists(monkeypatch):
+    # verify-aztec counts tilings and the sign side without listing beyond
+    # n = 3, and charges the cap with the count before any listing
+    listing = aztec.enumerate_tilings
+
+    def small_only(n):
+        if n >= 4:
+            raise RuntimeError("enumerate_tilings(%d) called" % n)
+        return listing(n)
+
+    def refuse(*args):
+        raise RuntimeError("enumerate_asms called")
+
+    monkeypatch.setattr(aztec, "enumerate_tilings", small_only)
+    monkeypatch.setattr(asmmod, "enumerate_asms", refuse)
+    budget = cli.Budget(10 ** 6)
+    records = cli.check_aztec(5, budget)
+    assert len(records) == 15 and all(r["match"] for r in records)
+    assert budget.used == 2 + 8 + 64 + 1024 + 32768
+    with pytest.raises(cli.CapExceeded, match=r"^instance cap exceeded: 33866 > 30000$"):
+        cli.check_aztec(5, cli.Budget(30000))
 
 
 def test_determinism_across_runs(tmp_path):
