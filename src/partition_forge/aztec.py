@@ -10,6 +10,8 @@ the tiling extended to the whole plane by horizontal bricks, yields an
 (n+1) by (n+1) one.
 """
 
+from functools import lru_cache
+
 from .asm import validate_asm
 
 A_DEGREE = {3: 0, 2: 1, 4: -1}
@@ -88,98 +90,37 @@ def vertex_degree(n, tiling, x, y):
     )
 
 
-def a_vertex(n, r, c):
-    return (-(n - 1) + (r - 1) + (c - 1), c - r)
+def vertex(k, r, c):
+    """The lattice vertex that entry (r, c) of a k by k marking reads.
 
-
-def b_vertex(n, r, c):
-    return (-n + (r - 1) + (c - 1), c - r)
+    The n by n sign matrix reads the vertices of one parity, the (n+1) by
+    (n+1) one those of the other.
+    """
+    return (r + c - k - 1, c - r)
 
 
 def tiling_to_asms(n, tiling):
     tiling = validate_tiling(n, tiling)
-    a = [
-        [
-            A_DEGREE[vertex_degree(n, tiling, *a_vertex(n, r, c))]
-            for c in range(1, n + 1)
-        ]
-        for r in range(1, n + 1)
-    ]
-    b = [
-        [
-            B_DEGREE[vertex_degree(n, tiling, *b_vertex(n, r, c))]
-            for c in range(1, n + 2)
-        ]
-        for r in range(1, n + 2)
-    ]
-    return validate_asm(a), validate_asm(b)
+    return tuple(
+        validate_asm([
+            [marks[vertex_degree(n, tiling, *vertex(k, r, c))] for c in range(1, k + 1)]
+            for r in range(1, k + 1)
+        ])
+        for k, marks in ((n, A_DEGREE), (n + 1, B_DEGREE))
+    )
 
 
-def _search(n, targets):
-    """All tilings; with degree targets, prune once a vertex is decided."""
-    all_cells = sorted(cells(n), key=lambda c: (c[1], c[0]))
-    cell_set = set(all_cells)
-    out = []
-    covered = set()
-    dominoes = set()
+def _moves(n):
+    """The dominoes each cell may start, indexed by the cell's (y, x) rank.
 
-    def decided(x, y):
-        # a vertex degree is final once its four surrounding cells are done
-        return all(
-            (cx, cy) not in cell_set or (cx, cy) in covered
-            for cx in (x - 1, x)
-            for cy in (y - 1, y)
-        )
-
-    def check(d):
-        if targets is None:
-            return True
-        for cx, cy in domino_cells(d):
-            for vx in (cx, cx + 1):
-                for vy in (cy, cy + 1):
-                    v = (vx, vy)
-                    if v in targets and decided(vx, vy):
-                        if vertex_degree(n, dominoes, vx, vy) != targets[v]:
-                            return False
-        return True
-
-    def rec(idx):
-        while idx < len(all_cells) and all_cells[idx] in covered:
-            idx += 1
-        if idx == len(all_cells):
-            out.append(frozenset(dominoes))
-            return
-        x, y = all_cells[idx]
-        for d in (("h", x, y), ("v", x, y)):
-            partner = domino_cells(d)[1]
-            if partner in cell_set and partner not in covered:
-                covered.update(domino_cells(d))
-                dominoes.add(d)
-                if check(d):
-                    rec(idx)
-                covered.difference_update(domino_cells(d))
-                dominoes.remove(d)
-
-    rec(0)
-    return out
-
-
-def enumerate_tilings(n):
-    return _search(n, None)
-
-
-def _counter(n):
-    """Tiling counts over _search's state, memoised.
-
-    The state is the index of the first uncovered cell in _search's (y, x)
-    order and the bitmask of the covered cells from it on (bit k is the cell
-    k places later).  Returns the dominoes each cell may start, in the order
-    _search tries them ("h" before "v") with the offset of their second cell,
-    and the count of the tilings that complete a state.
+    Dominoes come "h" before "v", each with the offset of its second cell in
+    that order.  Every walk over tilings covers the first uncovered cell next,
+    keeping the covered cells from it on as a bitmask (bit k is the cell k
+    places later).
     """
     order = sorted(cells(n), key=lambda c: (c[1], c[0]))
     index = {c: i for i, c in enumerate(order)}
-    moves = [
+    return [
         [
             (d, index[domino_cells(d)[1]] - i)
             for d in (("h", x, y), ("v", x, y))
@@ -187,6 +128,39 @@ def _counter(n):
         ]
         for i, (x, y) in enumerate(order)
     ]
+
+
+def enumerate_tilings(n):
+    """All tilings, listed by a depth-first walk over _moves(n)."""
+    moves = _moves(n)
+    out = []
+    dominoes = []
+
+    def rec(idx, mask):
+        while mask & 1:
+            idx, mask = idx + 1, mask >> 1
+        if idx == len(moves):
+            out.append(frozenset(dominoes))
+            return
+        for d, off in moves[idx]:
+            if not mask >> off & 1:
+                dominoes.append(d)
+                rec(idx, mask | 1 | 1 << off)
+                dominoes.pop()
+
+    rec(0, 0)
+    return out
+
+
+@lru_cache(maxsize=1)
+def _counter(n):
+    """The moves and the memoised count of the tilings completing a state.
+
+    A state of the walk is the index of the first uncovered cell and the
+    bitmask of the covered cells from it on.  Only the latest n is kept, so
+    counting and then unranking one diamond builds its table once.
+    """
+    moves = _moves(n)
     memo = {}
 
     def count(idx, mask):
@@ -230,58 +204,61 @@ def tilings_at(n, ranks):
                     continue
                 below = count(idx, mask | 1 | 1 << off)
                 if rank < below:
-                    dominoes.append(d)
-                    mask |= 1 | 1 << off
                     break
                 rank -= below
             else:
                 raise AssertionError("counts of the order %d diamond disagree" % n)
+            dominoes.append(d)
+            mask |= 1 | 1 << off
         out.append(frozenset(dominoes))
     return out
 
 
 def asms_to_tiling(n, a, b):
-    """Invert the degree marking; the pair determines the tiling."""
-    targets = {}
-    for r in range(1, n + 1):
-        for c in range(1, n + 1):
-            targets[a_vertex(n, r, c)] = {v: k for k, v in A_DEGREE.items()}[
-                a[r - 1][c - 1]
-            ]
-    for r in range(1, n + 2):
-        for c in range(1, n + 2):
-            targets[b_vertex(n, r, c)] = {v: k for k, v in B_DEGREE.items()}[
-                b[r - 1][c - 1]
-            ]
-    found = _search(n, targets)
-    if len(found) != 1:
-        raise AssertionError("%d tilings mark as %r, %r" % (len(found), a, b))
-    tiling = found[0]
-    if tiling_to_asms(n, tiling) != (validate_asm(a), validate_asm(b)):
-        raise AssertionError("tiling does not mark back as %r, %r" % (a, b))
-    return tiling
+    """Invert the degree marking in one walk over _moves(n).
 
-
-def all_vertical_tiling(n):
+    At the first uncovered cell (x, y), every edge at its corner (x+1, y) is
+    decided except the one that ("h", x, y) removes.  When both dominoes fit,
+    that corner is interior, so its marked degree picks one.  A pair that
+    marks no tiling fails the final check.
+    """
+    a, b = validate_asm(a), validate_asm(b)
+    target = {}
+    for m, marks in ((a, A_DEGREE), (b, B_DEGREE)):
+        degree = {v: k for k, v in marks.items()}
+        for r, row in enumerate(m, 1):
+            for c, v in enumerate(row, 1):
+                target[vertex(len(m), r, c)] = degree[v]
+    moves = _moves(n)
     tiling = set()
-    seen = set()
-    for x, y in sorted(cells(n), key=lambda c: (c[0], c[1])):
-        if (x, y) in seen:
-            continue
-        tiling.add(("v", x, y))
-        seen.update({(x, y), (x, y + 1)})
-    return validate_tiling(n, tiling)
+    idx = mask = 0
+    while True:
+        while mask & 1:
+            idx, mask = idx + 1, mask >> 1
+        if idx == len(moves):
+            break
+        free = [(d, off) for d, off in moves[idx] if not mask >> off & 1]
+        if not free:
+            raise AssertionError("no tiling marks as %r, %r" % (a, b))
+        d, off = free[0]
+        if len(free) == 2:
+            corner = (d[1] + 1, d[2])
+            if vertex_degree(n, tiling | {d}, *corner) != target.get(corner):
+                d, off = free[1]
+        tiling.add(d)
+        mask |= 1 | 1 << off
+    if tiling_to_asms(n, tiling) != (a, b):
+        raise AssertionError("tiling does not mark back as %r, %r" % (a, b))
+    return frozenset(tiling)
 
 
 def all_horizontal_tiling(n):
-    tiling = set()
-    seen = set()
-    for x, y in sorted(cells(n), key=lambda c: (c[1], c[0])):
-        if (x, y) in seen:
-            continue
-        tiling.add(("h", x, y))
-        seen.update({(x, y), (x + 1, y)})
-    return validate_tiling(n, tiling)
+    # rank 0: every walk tries "h" first
+    return tilings_at(n, [0])[0]
+
+
+def all_vertical_tiling(n):
+    return tilings_at(n, [count_tilings(n) - 1])[0]
 
 
 def flip_sites(tiling):

@@ -387,9 +387,11 @@ def check_aztec(max_n, budget):
             sample = aztec.enumerate_tilings(n)
         good = 0
         for t in sample:
-            a, b = aztec.tiling_to_asms(n, t)
-            if aztec.asms_to_tiling(n, a, b) == t:
-                good += 1
+            # a round trip that raises counts as failed, not as a usage error
+            try:
+                good += aztec.asms_to_tiling(n, *aztec.tiling_to_asms(n, t)) == t
+            except AssertionError:
+                pass
         out.append(record("round-trip:n=%d" % n, good, len(sample)))
         out.append(record("sign-count:n=%d" % n, asmmod.two_enumeration(n + 1), count))
     return out
@@ -548,30 +550,31 @@ COMMANDS = {
     ]),
 }
 
-# enumerate --kind -> (bound -> default, items).  Items come in a fixed order
-# and are ready for JSON.
+# enumerate --kind -> (bound -> default, items, count).  Items come in a fixed
+# order and are ready for JSON; count, where given, counts them without
+# listing, so the cap is charged before the work.
 KINDS = {
     "partitions": ({"max_weight": REQUIRED}, lambda b: [
         list(la) for la in partitions.partitions_upto(b.max_weight)
-    ]),
+    ], None),
     "cpps": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
         {"profile": b.profile, "seq": [list(mu) for mu in seq]}
         for seq in sorted(cylindric.enumerate_cpps(b.profile, b.max_weight))
-    ]),
+    ], None),
     "alcds": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
         emit_alcd(b.profile, labels)
         for labels in sorted(
             cylindric.enumerate_alcds(b.profile, b.max_weight), key=lambda l: sorted(l.items())
         )
-    ]),
+    ], None),
     "asms": ({"n": REQUIRED}, lambda b: [
         [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(b.n))
-    ]),
+    ], None),
     # printed in enumerate_tilings' order; sorted() would keep it, since
     # tilings are frozensets and those compare by inclusion
     "tilings": ({"n": REQUIRED}, lambda b: [
         emit_tiling(t) for t in aztec.enumerate_tilings(b.n)
-    ]),
+    ], lambda b: aztec.count_tilings(b.n)),
 }
 
 
@@ -617,8 +620,12 @@ def build_tasks(args, budget):
 
 
 def run_enumerate(args, budget):
-    bounds, items = KINDS[args.kind]
-    out = items(resolve(args, bounds, "enumerate --kind %s" % args.kind))
+    bounds, items, count = KINDS[args.kind]
+    b = resolve(args, bounds, "enumerate --kind %s" % args.kind)
+    if count:
+        budget.spend(count(b))
+        return items(b)
+    out = items(b)
     budget.spend(len(out))
     return out
 
@@ -645,7 +652,7 @@ def build_parser():
         q.add_argument("--format", choices=("json", "csv"), default="json")
         q.add_argument("--perturb", action="store_true")
     q = sub.add_parser("enumerate")
-    add_bounds(q, {bound for bounds, _ in KINDS.values() for bound in bounds})
+    add_bounds(q, {bound for bounds, _, _ in KINDS.values() for bound in bounds})
     q.add_argument("--kind", choices=tuple(KINDS), default="partitions")
     for q in sub.choices.values():
         q.add_argument("--out", default=None)

@@ -34,7 +34,7 @@ def test_validators_raise_under_python_O():
     code = """
 from partition_forge.asm import validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
-from partition_forge.aztec import validate_tiling
+from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.partitions import add_box, check_partition, hstrips_up, profile, remove_box
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
@@ -51,6 +51,7 @@ for check in (
     lambda: profile((3,), 0, 1),
     lambda: hstrips_up((2,), 1),
     lambda: validate_tiling(1, {("h", 0, 0)}),
+    lambda: asms_to_tiling(2, ((1, 0), (0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
 ):
     try:
         check()

@@ -123,6 +123,35 @@ def test_aztec_check_counts_before_it_lists(monkeypatch):
         cli.check_aztec(5, cli.Budget(30000))
 
 
+def test_aztec_check_builds_each_count_table_once():
+    aztec._counter.cache_clear()
+    cli.check_aztec(5, cli.Budget(10 ** 6))
+    assert aztec._counter.cache_info().misses == 5
+
+
+def test_aztec_failed_round_trip_is_a_mismatch(monkeypatch, capsys):
+    def fail(*args):
+        raise AssertionError("no tiling")
+
+    monkeypatch.setattr(aztec, "asms_to_tiling", fail)
+    assert cli.main(["verify-aztec", "--n", "2"]) == 1
+    assert '"match": false' in capsys.readouterr().out
+
+
+def test_enumerate_tilings_charges_the_count_before_listing(monkeypatch, capsys):
+    argv = ["enumerate", "--kind", "tilings", "--n", "3", "--max-instances"]
+    assert cli.main(argv + ["64"]) == 0
+    assert cli.main(argv + ["63"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 64 > 63\n"
+
+    def refuse(n):
+        raise RuntimeError("enumerate_tilings(%d) called" % n)
+
+    monkeypatch.setattr(aztec, "enumerate_tilings", refuse)
+    assert cli.main(["enumerate", "--kind", "tilings", "--n", "5", "--max-instances", "1"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 32768 > 1\n"
+
+
 def test_determinism_across_runs(tmp_path):
     outs = []
     for run in ("1", "2"):
