@@ -393,7 +393,6 @@ def borodin_lhs(pi, max_weight, base=None):
     """
     check_profile(pi)
     counts = [0] * (max_weight + 1)
-    down = {}  # mu -> hstrips_down(mu)
     bases = partitions_upto(max_weight) if base is None else [tuple(base)]
     for mu0 in bases:
         if sum(mu0) > max_weight:
@@ -407,9 +406,7 @@ def borodin_lhs(pi, max_weight, base=None):
                 if step == "1":
                     cand = hstrips_up(mu, room) if room >= sum(mu) else ()
                 else:
-                    if mu not in down:
-                        down[mu] = hstrips_down(mu)
-                    cand = down[mu]
+                    cand = hstrips_down(mu)
                 for la in cand:
                     size = sum(la)
                     if size > room:

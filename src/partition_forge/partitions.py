@@ -4,7 +4,14 @@ Partitions are tuples of weakly decreasing positive integers; the empty
 partition is ().  Profiles are 1-indexed strings of '0'/'1' characters read
 along the boundary of the diagram, '1' for a horizontal step and '0' for a
 vertical one.
+
+The strip and partition tables (hstrips_down, hstrips_up, partitions_upto)
+are pure, so each is cached for the life of the process; they return tuples,
+and their arguments must be hashable (partitions as tuples).
 """
+
+from functools import lru_cache
+
 
 def check_partition(la):
     la = tuple(la)
@@ -107,9 +114,9 @@ def is_horizontal_strip(la, mu):
     return all(la[i + 1] <= mu[i] for i in range(len(la) - 1))
 
 
+@lru_cache(maxsize=None)
 def hstrips_down(la):
     """All mu with la/mu a horizontal strip."""
-    la = tuple(la)
     out = []
 
     def rec(i, acc):
@@ -122,15 +129,15 @@ def hstrips_down(la):
             rec(i + 1, acc + [v])
 
     rec(0, [])
-    return out
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def hstrips_up(mu, max_size):
     """All la with la/mu a horizontal strip and |la| <= max_size.
 
     The cap is required: without it the set is infinite.
     """
-    mu = tuple(mu)
     budget = max_size - sum(mu)
     if budget < 0:
         raise AssertionError("cap %d below |%r|" % (max_size, mu))
@@ -152,7 +159,7 @@ def hstrips_up(mu, max_size):
             rec(i + 1, acc + [v], used + v - cur)
 
     rec(0, [], 0)
-    return out
+    return tuple(out)
 
 
 def partitions_of(n, max_part=None):
@@ -168,12 +175,10 @@ def partitions_of(n, max_part=None):
     return out
 
 
+@lru_cache(maxsize=None)
 def partitions_upto(n):
     """All partitions of weight at most n."""
-    out = []
-    for k in range(n + 1):
-        out.extend(partitions_of(k))
-    return out
+    return tuple(la for k in range(n + 1) for la in partitions_of(k))
 
 
 def add_box(la, row):

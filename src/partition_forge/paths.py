@@ -37,7 +37,8 @@ def cpp_to_paths(pi, seq):
     paths = []
     for i in range(1, m + 1):
         ups = [col(k, i) - col(k - 1, i) + 1 - int(pi[k - 1]) for k in range(1, T + 1)]
-        assert all(u in (0, 1) for u in ups)
+        if any(u not in (0, 1) for u in ups):
+            raise AssertionError("path %d takes a step of %r" % (i, ups))
         steps = "".join(str(u) for u in reversed(ups))
         paths.append((2 * taus[i - 1], steps))
     return paths
@@ -45,7 +46,8 @@ def cpp_to_paths(pi, seq):
 
 def occupancy(paths, x):
     ys = [path_points(p)[x] for p in paths]
-    assert len(set(ys)) == len(ys), "intersecting paths"
+    if len(set(ys)) != len(ys):
+        raise AssertionError("intersecting paths")
     return ys
 
 
@@ -61,52 +63,60 @@ def paths_to_cpp(pi, paths):
     """Recover the cylindric plane partition from its minimal path family."""
     T = len(pi)
     for y0, steps in paths:
-        assert y0 % 2 == 0 and len(steps) == T
+        if y0 % 2 or len(steps) != T:
+            raise AssertionError("path %r does not fit length %d" % ((y0, steps), T))
     layers = [
         partition_of_profile(vertical_reading(paths, x)) for x in range(T + 1)
     ]
-    assert layers[0] == layers[T]
+    if layers[0] != layers[T]:
+        raise AssertionError("paths do not close up: %r != %r" % (layers[0], layers[T]))
     # the vertical at x carries the layer mu^(T-x)
     seq = tuple(layers[(T - k) % T] for k in range(T)) + (layers[T],)
     return validate_cpp(pi, seq)
 
 
 def classify_cubes(pi, paths):
-    """All cubes (x, y1, y2) with arm, leg, level and class flags."""
+    """All cubes (x, y1, y2) with arm, leg, level and class flags, by x, then
+    y2, then y1.
+
+    At x the window runs over the sites from the lowest path to the highest.
+    A cube pairs an occupied y1 with an empty y2 above it; its arm counts the
+    occupied sites strictly between them and its leg the empty ones.
+    """
     T = len(pi)
     pts = [path_points(p) for p in paths]
     out = []
     for x in range(T):
-        ys = occupancy(paths, x)
-        occ = set(ys)
-        lo, hi = min(ys), max(ys)
-        window = list(range(lo, hi + 1, 2))
-        for y2 in window:
-            if y2 in occ:
+        ys = [p[x] for p in pts]
+        path_at = {y: k for k, y in enumerate(ys)}
+        if len(path_at) != len(ys):
+            raise AssertionError("intersecting paths")
+        window = range(min(ys), max(ys) + 1, 2)
+        below = [0]  # below[i]: occupied sites in window[:i]
+        for y in window:
+            below.append(below[-1] + (y in path_at))
+        for j, y2 in enumerate(window):
+            if y2 in path_at:
                 continue
-            for y1 in window:
-                if y1 >= y2 or y1 not in occ:
+            for i, y1 in enumerate(window[:j]):
+                k = path_at.get(y1)
+                if k is None:
                     continue
-                between = [y for y in window if y1 < y < y2]
-                arm = sum(1 for y in between if y in occ)
-                leg = len(between) - arm
-                k = next(idx for idx, p in enumerate(pts) if p[x] == y1)
-                incoming = paths[k][1][x - 1] if x > 0 else paths[k][1][T - 1]
-                outgoing = paths[k][1][x]
-                # a path dipping to a local minimum carries a peak cube
-                peak = incoming == "0" and outgoing == "1"
-                valley = incoming == "1" and outgoing == "0"
-                surface = arm == 0 and all(y not in occ for y in between)
+                arm = below[j] - below[i + 1]
+                steps = paths[k][1]
+                incoming = steps[x - 1] if x > 0 else steps[T - 1]
+                outgoing = steps[x]
                 out.append(
                     {
                         "x": x,
                         "y1": y1,
                         "y2": y2,
                         "arm": arm,
-                        "leg": leg,
-                        "peak": peak,
-                        "valley": valley,
-                        "surface": surface,
+                        "leg": j - i - 1 - arm,
+                        # a path dipping to a local minimum carries a peak cube
+                        "peak": incoming == "0" and outgoing == "1",
+                        "valley": incoming == "1" and outgoing == "0",
+                        "surface": arm == 0,
                         "level": y2 - y1,
                     }
                 )

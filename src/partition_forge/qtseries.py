@@ -6,6 +6,7 @@ Alphabets are dicts mapping (n, m) to integer multiplicities, and
 Omega[alphabet] is again such a factor product.
 """
 
+from functools import lru_cache
 from itertools import chain
 
 from . import series
@@ -31,7 +32,8 @@ def fp_mul(a, b):
 
 def fp_validate(a):
     for (n, m), e in a.items():
-        assert (n, m) != (0, 0) and e != 0
+        if (n, m) == (0, 0) or e == 0:
+            raise AssertionError("not a canonical factor product: %r" % (a,))
     return a
 
 
@@ -58,7 +60,8 @@ def fp_expand(a, keep):
 
 def omega(alphabet):
     """Omega[a] = prod 1/(1 - q^n t^m)^a_nm as a factor product."""
-    assert alphabet.get((0, 0), 0) == 0
+    if alphabet.get((0, 0), 0):
+        raise AssertionError("alphabet has a (0, 0) term: %r" % (alphabet,))
     return {k: -c for k, c in alphabet.items() if c}
 
 
@@ -86,10 +89,12 @@ def _arm_leg(la, s):
     return la[i - 1] - j, sum(1 for a in la if a >= j) - i
 
 
+@lru_cache(maxsize=None)
 def _pieri(la, mu, on_strip):
     """Arm-leg factors (a, l + 1) / (a + 1, l) of the boxes of la over those
     of mu, taken in the columns of the strip la/mu (on_strip) or, inverted,
-    in the other columns."""
+    in the other columns.  Cached for the process, so the result is shared:
+    pieri_phi and pieri_psi hand out copies."""
     cols = set(_strip_columns(la, mu))
     sign = 1 if on_strip else -1
     pairs = []
@@ -104,12 +109,12 @@ def _pieri(la, mu, on_strip):
 
 def pieri_phi(la, mu):
     """Coefficient of the horizontal strip la/mu in the h-type Pieri rule."""
-    return _pieri(la, mu, True)
+    return dict(_pieri(la, mu, True))
 
 
 def pieri_psi(la, mu):
     """Companion coefficient over the columns the strip does not touch."""
-    return _pieri(la, mu, False)
+    return dict(_pieri(la, mu, False))
 
 
 def weight_function(pi, seq):

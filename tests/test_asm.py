@@ -36,6 +36,8 @@ from partition_forge.asm import validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.partitions import add_box, check_partition, hstrips_up, profile, remove_box
+from partition_forge.paths import paths_to_cpp
+from partition_forge.qtseries import fp_validate
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
     lambda: validate_asm(((1, 1), (0, 0))),
@@ -52,6 +54,8 @@ for check in (
     lambda: hstrips_up((2,), 1),
     lambda: validate_tiling(1, {("h", 0, 0)}),
     lambda: asms_to_tiling(2, ((1, 0), (0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    lambda: fp_validate({(0, 0): 1}),
+    lambda: paths_to_cpp("10", [(1, "10")]),
 ):
     try:
         check()

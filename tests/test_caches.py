@@ -1,0 +1,98 @@
+"""The per-process memos agree with the plain functions they wrap."""
+
+import json
+import subprocess
+import sys
+
+from partition_forge import cli
+from partition_forge import cylindric as Y
+from partition_forge import partitions as P
+from partition_forge import qtseries as Q
+
+CACHES = (P.hstrips_down, P.hstrips_up, P.partitions_upto, Q._pieri)
+
+
+def test_strip_tables_match_their_plain_functions():
+    for n in range(9):
+        want = P.partitions_upto.__wrapped__(n)
+        assert type(want) is tuple
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            assert P.partitions_upto(n) == want
+    for la in P.partitions_upto(6):
+        want = P.hstrips_down.__wrapped__(la)
+        assert type(want) is tuple
+        for _ in range(2):
+            assert P.hstrips_down(la) == want
+        for cap in range(sum(la), 9):
+            want = P.hstrips_up.__wrapped__(la, cap)
+            assert type(want) is tuple
+            for _ in range(2):
+                assert P.hstrips_up(la, cap) == want
+
+
+def test_pieri_memo_matches_the_plain_function():
+    for la in P.partitions_upto(5):
+        for mu in P.hstrips_down(la):
+            for on_strip in (True, False):
+                want = list(Q._pieri.__wrapped__(la, mu, on_strip).items())
+                for _ in range(2):
+                    assert list(Q._pieri(la, mu, on_strip).items()) == want
+
+
+def test_cold_and_warm_runs_agree():
+    runs = [
+        lambda: [
+            r
+            for pi in cli.mixed_profiles(4)
+            for r in cli.check_weight_simplification(pi, 5, cli.Budget(10**6))
+        ],
+        lambda: [Y.borodin_lhs(pi, 9) for pi in ("10", "110", "0101", "10100")],
+        lambda: Y.borodin_lhs("110100", 8, (1,)),
+    ]
+    for run in runs:
+        for f in CACHES:
+            f.cache_clear()
+        cold = run()
+        hits = sum(f.cache_info().hits for f in CACHES)
+        assert run() == cold
+        assert sum(f.cache_info().hits for f in CACHES) > hits
+
+
+def test_cached_values_cannot_be_changed_by_a_caller():
+    la, mu = (3, 1), (2,)
+    for pieri in (Q.pieri_phi, Q.pieri_psi):
+        got = pieri(la, mu)
+        want = dict(got)
+        assert want
+        got[(9, 9)] = 1
+        got.pop(next(iter(want)))
+        assert pieri(la, mu) == want
+    for table in (P.hstrips_down(la), P.hstrips_up(mu, 4), P.partitions_upto(4)):
+        assert type(table) is tuple and all(type(p) is tuple for p in table)
+
+
+def test_nothing_is_cached_at_import():
+    code = """
+import json, sys
+import partition_forge.cli as cli
+cli.build_parser()
+sizes = {}
+for name, mod in sorted(sys.modules.items()):
+    if name.startswith("partition_forge"):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_info"):
+                key = "%s.%s" % (value.__module__, value.__qualname__)
+                sizes[key] = value.cache_info().currsize
+print(json.dumps(sizes))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    sizes = json.loads(proc.stdout)
+    new = {
+        "partition_forge.partitions.hstrips_down",
+        "partition_forge.partitions.hstrips_up",
+        "partition_forge.partitions.partitions_upto",
+        "partition_forge.qtseries._pieri",
+    }
+    assert new <= set(sizes)
+    assert sizes == dict.fromkeys(sizes, 0)

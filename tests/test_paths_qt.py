@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from partition_forge import cylindric as Y
 from partition_forge import paths as L
 from partition_forge import qtseries as Q
@@ -153,3 +155,57 @@ def test_qt_refined_small():
     lhs = {k: v for k, v in lhs.items()}
     rhs = {k: v for k, v in rhs.items() if sum(k[:2]) <= 3}
     assert lhs == rhs
+
+
+def _classify_cubes_oracle(pi, paths):
+    """Reference cube classifier: recomputes every path's points at every x
+    and scans the window for each pair of sites."""
+    T = len(pi)
+    pts = [L.path_points(p) for p in paths]
+    out = []
+    for x in range(T):
+        ys = L.occupancy(paths, x)
+        occ = set(ys)
+        lo, hi = min(ys), max(ys)
+        window = list(range(lo, hi + 1, 2))
+        for y2 in window:
+            if y2 in occ:
+                continue
+            for y1 in window:
+                if y1 >= y2 or y1 not in occ:
+                    continue
+                between = [y for y in window if y1 < y < y2]
+                arm = sum(1 for y in between if y in occ)
+                leg = len(between) - arm
+                k = next(idx for idx, p in enumerate(pts) if p[x] == y1)
+                incoming = paths[k][1][x - 1] if x > 0 else paths[k][1][T - 1]
+                outgoing = paths[k][1][x]
+                peak = incoming == "0" and outgoing == "1"
+                valley = incoming == "1" and outgoing == "0"
+                surface = arm == 0 and all(y not in occ for y in between)
+                out.append(
+                    {
+                        "x": x,
+                        "y1": y1,
+                        "y2": y2,
+                        "arm": arm,
+                        "leg": leg,
+                        "peak": peak,
+                        "valley": valley,
+                        "surface": surface,
+                        "level": y2 - y1,
+                    }
+                )
+    return out
+
+
+def test_classify_cubes_matches_the_scanning_oracle():
+    for pi in ["10", "110", "0101", "10100"]:
+        for seq in Y.enumerate_cpps(pi, 6):
+            paths = L.cpp_to_paths(pi, seq)
+            assert L.classify_cubes(pi, paths) == _classify_cubes_oracle(pi, paths), (pi, seq)
+
+
+def test_classify_cubes_rejects_intersecting_paths():
+    with pytest.raises(AssertionError, match="intersecting paths"):
+        L.classify_cubes("10", [(0, "10"), (0, "10")])
