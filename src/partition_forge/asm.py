@@ -63,8 +63,10 @@ def enumerate_asms(n):
     return out
 
 
-def two_enumeration(n):
-    """Sum of 2^(number of -1 entries) over ASM(n), without listing them.
+def x_enumeration(n, x):
+    """Sum of x^(number of -1 entries) over ASM(n), without listing them.
+
+    x = 1 counts the matrices; x = 2 is the 2-enumeration 2^(n(n-1)/2).
 
     The chains of enumerate_asms are walked as a dynamic programme over their
     last row: a matrix row has a -1 in each column that the previous chain
@@ -75,7 +77,7 @@ def two_enumeration(n):
         nxt = {}
         for prev, w in weights.items():
             for cur in _interlacing_rows(prev, n):
-                nxt[cur] = nxt.get(cur, 0) + w * 2 ** len(set(prev) - set(cur))
+                nxt[cur] = nxt.get(cur, 0) + w * x ** len(set(prev) - set(cur))
         weights = nxt
     return weights[tuple(range(1, n + 1))]
 

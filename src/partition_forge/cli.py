@@ -331,9 +331,9 @@ def check_asm(max_n, budget):
         if n == 0:
             out.append(record("count:n=0", 1, formula))
             continue
-        ms = asmmod.enumerate_asms(n)
-        budget.spend(len(ms))
-        out.append(record("count:n=%d" % n, len(ms), formula))
+        count = asmmod.x_enumeration(n, 1)
+        budget.spend(count)
+        out.append(record("count:n=%d" % n, count, formula))
     for n in range(1, min(max_n, 4) + 1):
         good = total = 0
         for b in asmmod.enumerate_asms(n):
@@ -393,7 +393,7 @@ def check_aztec(max_n, budget):
             except AssertionError:
                 pass
         out.append(record("round-trip:n=%d" % n, good, len(sample)))
-        out.append(record("sign-count:n=%d" % n, asmmod.two_enumeration(n + 1), count))
+        out.append(record("sign-count:n=%d" % n, asmmod.x_enumeration(n + 1, 2), count))
     return out
 
 

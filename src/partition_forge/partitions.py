@@ -34,18 +34,6 @@ def contains(la, mu):
     return all(a >= b for a, b in zip(la, mu))
 
 
-def union(la, mu):
-    """Partwise maximum (join in the containment lattice)."""
-    if len(mu) > len(la):
-        la, mu = mu, la
-    return tuple(max(a, b) for a, b in zip(la, mu + (0,) * (len(la) - len(mu))))
-
-
-def intersect(la, mu):
-    """Partwise minimum (meet in the containment lattice)."""
-    return tuple(min(a, b) for a, b in zip(la, mu))
-
-
 def cells(la):
     """Yield the boxes (row, col), 1-indexed."""
     for i, part in enumerate(la, 1):
@@ -180,20 +168,3 @@ def partitions_upto(n):
     """All partitions of weight at most n."""
     return tuple(la for k in range(n + 1) for la in partitions_of(k))
 
-
-def add_box(la, row):
-    """Add one box in the given 1-indexed row."""
-    if not 1 <= row <= len(la) + 1:
-        raise AssertionError("no row %d to add a box to in %r" % (row, la))
-    la = list(la) + [0] * max(0, row - len(la))
-    la[row - 1] += 1
-    return check_partition(tuple(a for a in la if a > 0))
-
-
-def remove_box(la, row):
-    """Remove one box from the given 1-indexed row."""
-    if not 1 <= row <= len(la):
-        raise AssertionError("no row %d to remove a box from in %r" % (row, la))
-    la = list(la)
-    la[row - 1] -= 1
-    return check_partition(tuple(a for a in la if a > 0))

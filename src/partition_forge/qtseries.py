@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import chain
 
 from . import series
-from .partitions import conjugate
+from .partitions import arm, conjugate, leg
 from .cylindric import (
     check_profile,
     cpp_refined_weight,
@@ -84,11 +84,6 @@ def _strip_columns(la, mu):
     return [j for j in range(1, len(lc) + 1) if lc[j - 1] > mc[j - 1]]
 
 
-def _arm_leg(la, s):
-    i, j = s
-    return la[i - 1] - j, sum(1 for a in la if a >= j) - i
-
-
 @lru_cache(maxsize=None)
 def _pieri(la, mu, on_strip):
     """Arm-leg factors (a, l + 1) / (a + 1, l) of the boxes of la over those
@@ -102,7 +97,7 @@ def _pieri(la, mu, on_strip):
         for i, part in enumerate(shape, 1):
             for j in range(1, part + 1):
                 if (j in cols) == on_strip:
-                    a, l = _arm_leg(shape, (i, j))
+                    a, l = arm(shape, (i, j)), leg(shape, (i, j))
                     pairs += [((a, l + 1), s), ((a + 1, l), -s)]
     return fp_validate(series.accumulate(pairs))
 

@@ -18,13 +18,11 @@ def accumulate(pairs):
     return {k: c for k, c in out.items() if c}
 
 
-def degree_cap(cap, idxs=None):
-    """keep predicate: total degree over the given variable indexes <= cap."""
+def degree_cap(cap):
+    """keep predicate: total degree <= cap."""
 
     def keep(exps):
-        if idxs is None:
-            return sum(exps) <= cap
-        return sum(exps[i] for i in idxs) <= cap
+        return sum(exps) <= cap
 
     return keep
 

@@ -35,7 +35,8 @@ def test_validators_raise_under_python_O():
 from partition_forge.asm import validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
 from partition_forge.aztec import asms_to_tiling, validate_tiling
-from partition_forge.partitions import add_box, check_partition, hstrips_up, profile, remove_box
+from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
+from partition_forge.partitions import check_partition, hstrips_up, profile
 from partition_forge.paths import paths_to_cpp
 from partition_forge.qtseries import fp_validate
 for check in (
@@ -48,8 +49,11 @@ for check in (
     lambda: validate_alcd("10", {(2, 1, 0): 1}),
     lambda: validate_alcd("10", {(1, 2, 0): 0}),
     lambda: check_partition((1, 2)),
-    lambda: add_box((1,), 3),
-    lambda: remove_box((2, 2), 1),
+    lambda: rsk_inverse(((1,),), ((1,),)),
+    lambda: rsk_inverse(((), (1, 2)), ((), (1, 2))),
+    lambda: rsk_inverse(((), (1, 1)), ((), (1, 1))),
+    lambda: reverse_robinson(((), (2,)), ((), (2,))),
+    lambda: burge_inverse(((), (1,)), ((), (1,), (2,))),
     lambda: profile((3,), 0, 1),
     lambda: hstrips_up((2,), 1),
     lambda: validate_tiling(1, {("h", 0, 0)}),
@@ -75,12 +79,14 @@ def test_counts_match_formula():
 
 def test_two_enumeration_matches_listing():
     for n in range(1, 7):
-        assert A.two_enumeration(n) == sum(
-            2 ** sum(1 for row in m for v in row if v == -1)
-            for m in A.enumerate_asms(n)
-        )
+        ms = A.enumerate_asms(n)
+        for x in (1, 2):
+            assert A.x_enumeration(n, x) == sum(
+                x ** sum(1 for row in m for v in row if v == -1) for m in ms
+            )
     for n in range(10):
-        assert A.two_enumeration(n) == 2 ** (n * (n - 1) // 2)
+        assert A.x_enumeration(n, 1) == A.asm_count_formula(n)
+        assert A.x_enumeration(n, 2) == 2 ** (n * (n - 1) // 2)
 
 
 def test_corner_sum_fixture():

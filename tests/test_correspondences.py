@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -52,21 +52,14 @@ def test_robinson_inverse_swaps_tableaux():
 
 
 def test_growth_faces_balance():
-    for perm in permutations(range(1, 5)):
-        m = C.permutation_matrix(perm)
-        grid = C.growth_diagram(m)
-        for i in range(1, 5):
-            for j in range(1, 5):
-                assert sum(grid[i][j]) + sum(grid[i - 1][j - 1]) == sum(
-                    grid[i][j - 1]
-                ) + sum(grid[i - 1][j]) + m[i - 1][j - 1]
-
-
-def test_standardize_examples():
-    s = C.standardize(T_CHAIN)
-    assert rows_of_standard(s) == [[1, 2, 7], [3, 4], [5, 6]]
-    sp = C.standardize(TP_CHAIN)
-    assert rows_of_standard(sp) == [[1, 3, 6], [2, 5], [4, 7]]
+    for up in (C.rsk_up, C.burge_up):
+        for m in [C.permutation_matrix(p) for p in permutations(range(1, 5))] + [MATRIX]:
+            grid = C.growth_diagram(m, up)
+            for i in range(1, len(m) + 1):
+                for j in range(1, len(m[0]) + 1):
+                    assert sum(grid[i][j]) + sum(grid[i - 1][j - 1]) == sum(
+                        grid[i][j - 1]
+                    ) + sum(grid[i - 1][j]) + m[i - 1][j - 1]
 
 
 def ssyt_chains(shape, length, _cache={}):
@@ -84,31 +77,65 @@ def ssyt_chains(shape, length, _cache={}):
     return _cache[key]
 
 
-def test_destandardize_round_trip():
-    for shape in [(3, 1), (2, 2), (4,), (2, 1, 1)]:
-        for chain in ssyt_chains(shape, 3):
-            s = C.standardize(chain)
-            assert C.destandardize(s, C.chain_content(chain)) == chain
-
-
-def test_block_encode_rsk_example():
-    big, rs, cs = C.block_encode_rsk([[1, 3], [2, 1]])
-    assert (rs, cs) == ((4, 3), (3, 4))
-    ones = sorted((i + 1, j + 1) for i in range(7) for j in range(7) if big[i][j])
-    assert ones == [(1, 1), (2, 4), (3, 5), (4, 6), (5, 2), (6, 3), (7, 7)]
-
-
-def test_block_encode_burge_example():
-    big, rs, cs = C.block_encode_burge([[1, 3], [2, 1]])
-    ones = sorted((i + 1, j + 1) for i in range(7) for j in range(7) if big[i][j])
-    assert ones == [(1, 7), (2, 6), (3, 5), (4, 3), (5, 4), (6, 2), (7, 1)]
-
-
 def test_rsk_example():
     t, tp = C.rsk(MATRIX)
     assert t == T_CHAIN
     assert tp == TP_CHAIN
     assert C.rsk_inverse(T_CHAIN, TP_CHAIN) == MATRIX
+
+
+def test_burge_example():
+    t, tp = C.burge(MATRIX)
+    assert t == ((), (2,), (4,), (6, 1))
+    assert tp == ((), (1,), (3,), (5, 1), (6, 1))
+    assert C.burge_inverse(t, tp) == MATRIX
+
+
+def schensted_rsk(matrix):
+    """Classical RSK: row-insert the bottom line of the two-line array.
+
+    The pairs (i, j), one per unit of matrix[i - 1][j - 1], are read in
+    lexicographic order; j is inserted and i recorded.  Returns the
+    (recording, insertion) chains, whose contents are the row and column sums.
+    """
+    rows, recording = [], []
+    for i, line in enumerate(matrix, 1):
+        for j, mult in enumerate(line, 1):
+            for _ in range(mult):
+                x, r = j, 0
+                while True:
+                    if r == len(rows):
+                        rows.append([x])
+                        recording.append([i])
+                        break
+                    row = rows[r]
+                    k = next((k for k, y in enumerate(row) if y > x), None)
+                    if k is None:
+                        row.append(x)
+                        recording[r].append(i)
+                        break
+                    row[k], x = x, row[k]
+                    r += 1
+
+    def chain(tableau, letters):
+        return tuple(
+            tuple(n for n in (sum(1 for y in row if y <= k) for row in tableau) if n)
+            for k in range(letters + 1)
+        )
+
+    return chain(recording, len(matrix)), chain(rows, len(matrix[0]))
+
+
+def test_rsk_matches_schensted_insertion():
+    for r in (1, 2, 3):
+        for c in (1, 2, 3):
+            for flat in product(range(3), repeat=r * c):
+                if any(flat):
+                    m = [list(flat[i * c:(i + 1) * c]) for i in range(r)]
+                    assert C.rsk(m) == schensted_rsk(m)
+    for n in range(1, 7):
+        for perm in permutations(range(1, n + 1)):
+            assert C.robinson(perm) == schensted_rsk(C.permutation_matrix(perm))
 
 
 @settings(deadline=None)
@@ -210,13 +237,21 @@ def test_burge_round_trip_random(seed):
     assert C.burge_up(alpha, beta, m, mu) == la
 
 
-def test_burge_up_down_all_small():
+def check_up_down_all_small(up, down):
     # every valid upward move is undone by the downward rule
     for mu in P.partitions_upto(4):
         for alpha in P.hstrips_up(mu, sum(mu) + 2):
             for beta in P.hstrips_up(mu, sum(mu) + 2):
                 for m in range(3):
-                    la = C.burge_up(alpha, beta, m, mu)
+                    la = up(alpha, beta, m, mu)
                     assert P.is_horizontal_strip(la, alpha)
                     assert P.is_horizontal_strip(la, beta)
-                    assert C.burge_down(alpha, beta, la) == (m, mu)
+                    assert down(alpha, beta, la) == (m, mu)
+
+
+def test_burge_up_down_all_small():
+    check_up_down_all_small(C.burge_up, C.burge_down)
+
+
+def test_rsk_up_down_all_small():
+    check_up_down_all_small(C.rsk_up, C.rsk_down)

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from partition_forge import partitions as P
@@ -85,15 +84,6 @@ def test_partition_counts():
     assert [len(P.partitions_of(n)) for n in range(11)] == want
 
 
-@given(parts(4, 6), parts(4, 6))
-def test_union_intersect_lattice(la, mu):
-    u, m = P.union(la, mu), P.intersect(la, mu)
-    assert P.contains(u, la) and P.contains(u, mu)
-    assert P.contains(la, m) and P.contains(mu, m)
-    assert sum(u) + sum(m) >= sum(la) + sum(mu) - 0  # submodular sanity
-    assert sum(u) + sum(m) == sum(la) + sum(mu)
-
-
 @given(parts(4, 5))
 def test_hstrips_down(la):
     downs = P.hstrips_down(la)
@@ -118,10 +108,3 @@ def test_hstrips_up(mu, extra):
         if P.is_horizontal_strip(la, mu):
             assert la in ups
 
-
-def test_add_remove_box():
-    assert P.add_box((3, 1), 2) == (3, 2)
-    assert P.add_box((3, 1), 3) == (3, 1, 1)
-    assert P.remove_box((3, 1), 2) == (3,)
-    with pytest.raises(AssertionError):
-        P.add_box((3, 1), 1 + 10)
