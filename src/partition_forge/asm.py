@@ -26,7 +26,8 @@ def asm_count_formula(n):
     for k in range(n):
         num *= factorial(3 * k + 1)
         den *= factorial(n + k)
-    assert num % den == 0
+    if num % den:
+        raise AssertionError("%d / %d is not an integer" % (num, den))
     return num // den
 
 
@@ -206,7 +207,8 @@ def left_below_family(b, bits):
         for j in range(1, n + 1):
             lo = max(g(i, j), g(i + 1, j + 1) - 1)
             hi = min(g(i, j + 1), g(i + 1, j))
-            assert hi - lo in (0, 1), (i, j)
+            if hi - lo not in (0, 1):
+                raise AssertionError("corner sums %d..%d at %r" % (lo, hi, (i, j)))
             if hi > lo:
                 out[i - 1][j - 1] = hi if choices[(i, j)] else lo
             else:
@@ -233,7 +235,8 @@ def left_above_family(b, bits):
                 continue
             lo = max(g(i - 1, j), g(i, j - 1))
             hi = min(g(i, j), g(i - 1, j - 1) + 1)
-            assert hi - lo in (0, 1), (i, j)
+            if hi - lo not in (0, 1):
+                raise AssertionError("corner sums %d..%d at %r" % (lo, hi, (i, j)))
             if hi > lo:
                 out[i - 1][j - 1] = hi if choices[(i, j)] else lo
             else:

@@ -36,15 +36,23 @@ def rotate_profile(pi):
     return pi[1:] + pi[0]
 
 
-def validate_cpp(pi, seq):
+def check_closed(pi, seq):
+    """seq as a tuple of tuples, once it is checked to close up after the
+    len(pi) steps; the steps themselves are not checked."""
     T = len(pi)
     if len(seq) != T + 1 or seq[0] != seq[T]:
         raise AssertionError("not a closed sequence of %d steps: %r" % (T, seq))
+    return tuple(map(tuple, seq))
+
+
+def validate_cpp(pi, seq):
+    seq = check_closed(pi, seq)
+    T = len(pi)
     for k in range(1, T + 1):
         outer, inner = (seq[k], seq[k - 1]) if pi[k - 1] == "1" else (seq[k - 1], seq[k])
         if not is_horizontal_strip(outer, inner):
             raise AssertionError((pi, seq, k))
-    return tuple(map(tuple, seq))
+    return seq
 
 
 def cpp_weight(seq):
@@ -162,7 +170,8 @@ def add_corner(pi, labels, i, m):
     the label m.
     """
     T = len(pi)
-    assert 1 <= i < T and pi[i - 1] == "0" and pi[i] == "1"
+    if not (1 <= i < T and pi[i - 1] == "0" and pi[i] == "1"):
+        raise AssertionError("no valley at %d of %r" % (i, pi))
     new_pi = pi[: i - 1] + "10" + pi[i + 1 :]
     out = {}
     for (bi, bj, w), lab in labels.items():
@@ -180,7 +189,8 @@ def add_corner(pi, labels, i, m):
 def remove_corner(pi, labels, i):
     """Inverse of add_corner: strip the peak at linear position i."""
     T = len(pi)
-    assert 1 <= i < T and pi[i - 1] == "1" and pi[i] == "0"
+    if not (1 <= i < T and pi[i - 1] == "1" and pi[i] == "0"):
+        raise AssertionError("no peak at %d of %r" % (i, pi))
     new_pi = pi[: i - 1] + "01" + pi[i + 1 :]
     m = labels.get((i, i + 1, 0), 0)
     out = {}
@@ -236,7 +246,8 @@ def enumerate_alcds(pi, max_weight):
 def down_step(pi, seq, i):
     """Apply the column-deletion rule at the peak i; returns (label, new seq)."""
     T = len(pi)
-    assert pi[i - 1] == "1" and pi[i % T] == "0"
+    if not (pi[i - 1] == "1" and pi[i % T] == "0"):
+        raise AssertionError("no peak at %d of %r" % (i, pi))
     seq = list(seq)
     m, nu = burge_down(seq[i - 1], seq[(i + 1) if i < T else 1], seq[i])
     seq[i] = nu
@@ -251,7 +262,8 @@ def down_step(pi, seq, i):
 def up_step(pi, seq, i, m):
     """Apply the column-insertion rule at the valley i."""
     T = len(pi)
-    assert pi[i - 1] == "0" and pi[i % T] == "1"
+    if not (pi[i - 1] == "0" and pi[i % T] == "1"):
+        raise AssertionError("no valley at %d of %r" % (i, pi))
     seq = list(seq)
     la = burge_up(seq[i - 1], seq[(i + 1) if i < T else 1], m, seq[i])
     seq[i] = la
@@ -288,7 +300,8 @@ def phi(pi, seq):
             cur_pi, cur = rotate_cpp(cur_pi, cur)
             ops.append(None)
             rotations += 1
-        assert len(ops) <= limit
+        if len(ops) > limit:
+            raise AssertionError("no end after %d steps" % limit)
     gamma = cur[0]
     d_pi, labels = cur_pi, {}
     for op in reversed(ops):
@@ -297,7 +310,8 @@ def phi(pi, seq):
         else:
             i, m = op
             d_pi, labels = add_corner(d_pi, labels, i, m)
-    assert d_pi == pi
+    if d_pi != pi:
+        raise AssertionError("diagram profile %r, expected %r" % (d_pi, pi))
     return gamma, labels, rotations
 
 
@@ -316,7 +330,8 @@ def psi(pi, gamma, labels):
         else:
             cur_pi, cur_labels = rotate_alcd(cur_pi, cur_labels)
             ops.append(None)
-        assert len(ops) <= limit
+        if len(ops) > limit:
+            raise AssertionError("no end after %d steps" % limit)
     seq = (gamma,) * (T + 1)
     for op in reversed(ops):
         if op is None:
@@ -324,7 +339,8 @@ def psi(pi, gamma, labels):
         else:
             i, m = op
             cur_pi, seq = up_step(cur_pi, seq, i, m)
-    assert cur_pi == pi
+    if cur_pi != pi:
+        raise AssertionError("profile %r, expected %r" % (cur_pi, pi))
     return validate_cpp(pi, seq)
 
 
@@ -334,7 +350,8 @@ def local_commutation_check(pi, seq, i, j, mi, mj):
     p1, s1 = up_step(p1, s1, j, mj)
     p2, s2 = up_step(pi, seq, j, mj)
     p2, s2 = up_step(p2, s2, i, mi)
-    assert (p1, s1) == (p2, s2)
+    if (p1, s1) != (p2, s2):
+        raise AssertionError("insertions at %d and %d do not commute" % (i, j))
     return s1
 
 
@@ -355,7 +372,8 @@ def diag_weight(pi, labels, k):
     """Number of boxes the diagram contributes to the k-th diagonal."""
     if not labels:
         return 0
-    assert is_mixed(pi)
+    if not is_mixed(pi):
+        raise AssertionError("profile %r is not mixed" % (pi,))
     T = len(pi)
     n = pi.count("0")
     m = pi.count("1")

@@ -134,7 +134,8 @@ def symbolic_pyramid(n):
 
 def closed_form_terms(n, k):
     """Monomials of the apex of level k, one per interlacing pair."""
-    assert 1 <= k <= n
+    if not 1 <= k <= n:
+        raise AssertionError("level %d outside 1..%d" % (k, n))
     out = []
     for b in A.enumerate_asms(k):
         fb = A.f_weight_exponents(b)

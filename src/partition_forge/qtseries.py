@@ -10,24 +10,20 @@ from functools import lru_cache
 from itertools import chain
 
 from . import series
-from .partitions import arm, conjugate, leg
+from .partitions import arm, conjugate, is_horizontal_strip, leg
 from .cylindric import (
+    check_closed,
     check_profile,
     cpp_refined_weight,
     cpp_weight,
     enumerate_cpps,
     hook_vectors,
-    validate_cpp,
 )
 from .paths import dc_alphabet
 
 
 # ---------------------------------------------------------------------------
 # factor products
-
-
-def fp_mul(a, b):
-    return series.add(a, b)
 
 
 def fp_validate(a):
@@ -112,16 +108,28 @@ def pieri_psi(la, mu):
     return dict(_pieri(la, mu, False))
 
 
+@lru_cache(maxsize=None)
+def _pieri_step(step, before, after):
+    """Factor pairs of the Pieri coefficient of one CPP step before -> after:
+    phi(after/before) on a '1' step, psi(before/after) on a '0' step.
+    Raises unless the step is a horizontal strip.  Cached for the process;
+    a tuple, so no caller can change it."""
+    up = step == "1"
+    la, mu = (after, before) if up else (before, after)
+    if not is_horizontal_strip(la, mu):
+        raise AssertionError("%r/%r is not a horizontal strip" % (la, mu))
+    return tuple(_pieri(la, mu, up).items())
+
+
 def weight_function(pi, seq):
-    """Product of Pieri coefficients along the profile."""
-    seq = validate_cpp(pi, seq)
-    out = {}
-    for k in range(1, len(pi) + 1):
-        if pi[k - 1] == "1":
-            out = fp_mul(out, pieri_phi(seq[k], seq[k - 1]))
-        else:
-            out = fp_mul(out, pieri_psi(seq[k - 1], seq[k]))
-    return fp_validate(out)
+    """Product of Pieri coefficients along the profile, summed as factor
+    products from the per-step table."""
+    seq = check_closed(pi, seq)
+    return series.accumulate(
+        pair
+        for k, step in enumerate(pi, 1)
+        for pair in _pieri_step(step, seq[k - 1], seq[k])
+    )
 
 
 def weight_alphabet_identity(pi, seq):

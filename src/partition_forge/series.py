@@ -53,7 +53,8 @@ def mul(a, b, keep):
 def binomial_factor(exps, power, keep):
     """(1 - x^exps)^power truncated; power may be negative."""
     exps = tuple(exps)
-    assert any(exps)
+    if not any(exps):
+        raise AssertionError("zero exponent %r" % (exps,))
     nvars = len(exps)
     if not keep(exps):
         return one(nvars)

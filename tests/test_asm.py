@@ -32,13 +32,24 @@ def test_validate_rejects():
 def test_validators_raise_under_python_O():
     # validation must not rest on assert statements, which -O strips
     code = """
-from partition_forge.asm import validate_asm
-from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
+from math import factorial
+import partition_forge.asm as A
+from partition_forge.asm import asm_count_formula, validate_asm
+from partition_forge.cylindric import add_corner, check_profile, validate_alcd, validate_cpp
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
 from partition_forge.paths import paths_to_cpp
 from partition_forge.qtseries import fp_validate
+from partition_forge.series import binomial_factor, degree_cap
+
+def inexact_asm_count():
+    A.factorial = lambda k: k + 2  # makes the product quotient 18 / 20 at n = 2
+    try:
+        asm_count_formula(2)
+    finally:
+        A.factorial = factorial
+
 for check in (
     lambda: validate_asm(((0, 1), (1, -1))),
     lambda: validate_asm(((1, 1), (0, 0))),
@@ -60,6 +71,9 @@ for check in (
     lambda: asms_to_tiling(2, ((1, 0), (0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
     lambda: fp_validate({(0, 0): 1}),
     lambda: paths_to_cpp("10", [(1, "10")]),
+    lambda: add_corner("10", {}, 1, 1),
+    lambda: binomial_factor((0,), -1, degree_cap(3)),
+    inexact_asm_count,
 ):
     try:
         check()

@@ -7,9 +7,17 @@ import sys
 from partition_forge import cli
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
+from partition_forge import paths as L
 from partition_forge import qtseries as Q
 
-CACHES = (P.hstrips_down, P.hstrips_up, P.partitions_upto, Q._pieri)
+CACHES = (
+    P.hstrips_down,
+    P.hstrips_up,
+    P.partitions_upto,
+    Q._pieri,
+    Q._pieri_step,
+    L._layer_alphabet,
+)
 
 
 def test_strip_tables_match_their_plain_functions():
@@ -37,6 +45,20 @@ def test_pieri_memo_matches_the_plain_function():
                 want = list(Q._pieri.__wrapped__(la, mu, on_strip).items())
                 for _ in range(2):
                     assert list(Q._pieri(la, mu, on_strip).items()) == want
+
+
+def test_step_and_layer_tables_match_their_plain_functions():
+    for pi in ("10", "110", "0101", "10100"):
+        T = len(pi)
+        for seq in Y.enumerate_cpps(pi, 6):
+            for k in range(1, T + 1):
+                step = (pi[k - 1], seq[k - 1], seq[k])
+                layer = (pi[k - 1], pi[k % T], seq[k - 1], seq[k], seq[k % T + 1])
+                for table, args in ((Q._pieri_step, step), (L._layer_alphabet, layer)):
+                    want = table.__wrapped__(*args)
+                    assert type(want) is tuple
+                    for _ in range(2):
+                        assert table(*args) == want
 
 
 def test_cold_and_warm_runs_agree():
@@ -93,6 +115,8 @@ print(json.dumps(sizes))
         "partition_forge.partitions.hstrips_up",
         "partition_forge.partitions.partitions_upto",
         "partition_forge.qtseries._pieri",
+        "partition_forge.qtseries._pieri_step",
+        "partition_forge.paths._layer_alphabet",
     }
     assert new <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)

@@ -1,8 +1,11 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from partition_forge import cylindric as Y
+from partition_forge.cli import mixed_profiles
 from partition_forge import paths as L
 from partition_forge import qtseries as Q
 from partition_forge import series
@@ -65,6 +68,89 @@ def test_dc_alphabet_fixtures():
     assert L.dc_alphabet("10", ((), (1,), ())) == {(0, 0): 1}
     assert L.dc_alphabet("10", ((), (2,), ())) == {(0, 0): 1, (1, 0): 1}
     assert L.dc_alphabet("10", ((1,), (1,), (1,))) == {}
+
+
+# (profile, max weight): 6,923 CPPs, 474 distinct layer windows
+ORACLE_CASES = [(pi, 8) for pi in mixed_profiles(5)] + [
+    ("110100", 7),
+    ("1001100", 7),
+    ("0011", 8),
+    ("1110", 8),
+]
+
+
+def _oracle_cpps():
+    for pi, max_weight in ORACLE_CASES:
+        for seq in Y.enumerate_cpps(pi, max_weight):
+            yield pi, seq
+
+
+def _dc_alphabet_from_paths(pi, seq):
+    """The alphabet summed over the cubes of the whole path family."""
+    cubes = L.classify_cubes(pi, L.cpp_to_paths(pi, seq))
+    return series.accumulate(
+        ((c["arm"], c["leg"]), int(c["peak"]) - int(c["valley"])) for c in cubes
+    )
+
+
+def _weight_by_factor_chain(pi, seq):
+    """The weight as one factor-product multiplication per step."""
+    seq = Y.validate_cpp(pi, seq)
+    out = {}
+    for k in range(1, len(pi) + 1):
+        if pi[k - 1] == "1":
+            factor = Q.pieri_phi(seq[k], seq[k - 1])
+        else:
+            factor = Q.pieri_psi(seq[k - 1], seq[k])
+        out = series.add(out, factor)  # a product of factor products adds exponents
+    return Q.fp_validate(out)
+
+
+def test_dc_alphabet_matches_the_path_model():
+    count = 0
+    for pi, seq in _oracle_cpps():
+        assert L.dc_alphabet(pi, seq) == _dc_alphabet_from_paths(pi, seq), (pi, seq)
+        count += 1
+    assert count == 6923
+
+
+def test_weight_function_matches_the_factor_chain():
+    count = 0
+    for pi, seq in _oracle_cpps():
+        assert Q.weight_function(pi, seq) == _weight_by_factor_chain(pi, seq), (pi, seq)
+        count += 1
+    assert count == 6923
+
+
+NOT_CPPS = [
+    ("10", ((), (1,), (1,))),  # open: mu^T != mu^0
+    ("10", ((), ())),  # open: one step short
+    ("10", ((), (1, 1), ())),  # the '1' step puts two boxes in one column
+    ("110", ((), (1,), (1, 1), ())),  # only the closing '0' step is no strip
+]
+
+
+@pytest.mark.parametrize("pi, seq", NOT_CPPS)
+def test_weight_sides_reject_a_non_cpp(pi, seq):
+    for side in (Q.weight_function, L.dc_alphabet):
+        with pytest.raises(AssertionError):
+            side(pi, seq)
+
+
+def test_weight_sides_reject_a_non_cpp_under_python_O():
+    code = """
+from partition_forge.paths import dc_alphabet
+from partition_forge.qtseries import weight_function
+for pi, seq in %r:
+    for side in (weight_function, dc_alphabet):
+        try:
+            side(pi, seq)
+        except AssertionError:
+            continue
+        raise SystemExit("%%s accepted %%r" %% (side.__name__, (pi, seq)))
+""" % (NOT_CPPS,)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pieri_phi_fixture():
