@@ -108,21 +108,6 @@ def dual_inversions(m):
     return sorted((i, n + 1 - j) for i, j in inversions(reverse_columns(m)))
 
 
-def monotone_triangle(m):
-    """Rows from size n down to 1; row of size k lists the columns whose
-    bottom k entries sum to one."""
-    n = len(m)
-    rows = []
-    for k in range(n, 0, -1):
-        cols = [
-            j
-            for j in range(1, n + 1)
-            if sum(m[i][j - 1] for i in range(n - k, n)) == 1
-        ]
-        rows.append(tuple(cols))
-    return tuple(rows)
-
-
 def left_corner_sums(m):
     n = len(m)
     out = [[0] * n for _ in range(n)]
@@ -153,10 +138,6 @@ def asm_from_left_sums(bar):
             for i in range(1, n + 1)
         ]
     )
-
-
-def asm_from_right_sums(under):
-    return reverse_columns(asm_from_left_sums(reverse_columns(under)))
 
 
 def f_weight_exponents(m):
@@ -216,49 +197,15 @@ def left_below_family(b, bits):
     return asm_from_left_sums(out)
 
 
-def left_above_family(b, bits):
-    """(n+1) by (n+1) matrices left interlacing above the n by n matrix b."""
+def _mirror_bits(b, bits):
+    """Re-order bits, given in the order of the -1s of b, into the order of
+    the -1s of reverse_columns(b), so that every -1 keeps its bit."""
     n = len(b)
-    bar = left_corner_sums(b)
-
-    def g(i, j):
-        return bar[i - 1][j - 1] if 1 <= i <= n and 1 <= j <= n else 0
-
-    choices = {}
-    for pos, bit in zip(_signs(b, 1), bits):
-        choices[pos] = bit
-    out = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            if i == n + 1 or j == n + 1:
-                out[i - 1][j - 1] = min(i, j)
-                continue
-            lo = max(g(i - 1, j), g(i, j - 1))
-            hi = min(g(i, j), g(i - 1, j - 1) + 1)
-            if hi - lo not in (0, 1):
-                raise AssertionError("corner sums %d..%d at %r" % (lo, hi, (i, j)))
-            if hi > lo:
-                out[i - 1][j - 1] = hi if choices[(i, j)] else lo
-            else:
-                out[i - 1][j - 1] = lo
-    return asm_from_left_sums(out)
-
-
-def _mirror_bits(b, sign, bits):
-    """Re-order bits, given in the order of the signs of b, into the order of
-    the signs of reverse_columns(b), so that every sign keeps its bit."""
-    n = len(b)
-    bit = dict(zip(_signs(b, sign), bits))
-    return tuple(bit[(i, n + 1 - j)] for i, j in _signs(reverse_columns(b), sign))
+    bit = dict(zip(_signs(b, -1), bits))
+    return tuple(bit[(i, n + 1 - j)] for i, j in _signs(reverse_columns(b), -1))
 
 
 def right_below_family(b, bits):
     """n by n matrices right interlacing below the (n+1) by (n+1) matrix b."""
     r = reverse_columns(b)
-    return reverse_columns(left_below_family(r, _mirror_bits(b, -1, bits)))
-
-
-def right_above_family(b, bits):
-    """(n+1) by (n+1) matrices right interlacing above the n by n matrix b."""
-    r = reverse_columns(b)
-    return reverse_columns(left_above_family(r, _mirror_bits(b, 1, bits)))
+    return reverse_columns(left_below_family(r, _mirror_bits(b, bits)))

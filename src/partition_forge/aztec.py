@@ -250,36 +250,3 @@ def asms_to_tiling(n, a, b):
     if tiling_to_asms(n, tiling) != (a, b):
         raise AssertionError("tiling does not mark back as %r, %r" % (a, b))
     return frozenset(tiling)
-
-
-def all_horizontal_tiling(n):
-    # rank 0: every walk tries "h" first
-    return tilings_at(n, [0])[0]
-
-
-def all_vertical_tiling(n):
-    return tilings_at(n, [count_tilings(n) - 1])[0]
-
-
-def flip_sites(tiling):
-    """Lower-left cells of two-by-two blocks covered by a domino pair."""
-    out = []
-    for kind, x, y in tiling:
-        if kind == "h" and ("h", x, y + 1) in tiling:
-            out.append((x, y))
-        if kind == "v" and ("v", x + 1, y) in tiling:
-            out.append((x, y))
-    return sorted(out)
-
-
-def elementary_flip(n, tiling, x, y):
-    tiling = set(tiling)
-    if ("h", x, y) in tiling and ("h", x, y + 1) in tiling:
-        tiling -= {("h", x, y), ("h", x, y + 1)}
-        tiling |= {("v", x, y), ("v", x + 1, y)}
-    elif ("v", x, y) in tiling and ("v", x + 1, y) in tiling:
-        tiling -= {("v", x, y), ("v", x + 1, y)}
-        tiling |= {("h", x, y), ("h", x, y + 1)}
-    else:
-        raise AssertionError("no flippable pair at %r" % ((x, y),))
-    return validate_tiling(n, tiling)

@@ -6,6 +6,8 @@ match, 1 a mismatch was found, 2 usage or configuration error.
 """
 
 import argparse
+import csv
+import io
 import json
 import random
 import sys
@@ -204,15 +206,12 @@ def check_bijection(pi, max_weight, budget):
 
 
 def check_refined_bijection(pi, max_weight, budget):
-    t = len(pi)
     seqs = cylindric.enumerate_cpps(pi, max_weight)
     budget.spend(len(seqs))
     lhs = sorted(cylindric.cpp_refined_weight(s) for s in seqs)
     rhs = []
     for labels, gamma, _ in alcd_pairs(pi, max_weight):
-        vec = tuple(
-            sum(gamma) + cylindric.diag_weight(pi, labels, k) for k in range(1, t + 1)
-        )
+        vec = tuple(sum(gamma) + w for w in cylindric.alcd_refined_weight(pi, labels))
         if sum(vec) <= max_weight:
             rhs.append(vec)
     good = int(lhs == sorted(rhs))
@@ -683,13 +682,13 @@ def assemble_report(args, records):
 def emit(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=False) + "\n"
-    lines = ["degree,lhs,rhs,match"]
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["degree", "lhs", "rhs", "match"])
     for r in report["coefficients"]:
-        lines.append(
-            "%s,%s,%s,%s" % (r["degree"], r["lhs"], r["rhs"], str(r["match"]).lower())
-        )
-    lines.append("ok,%s" % str(report["ok"]).lower())
-    return "\n".join(lines) + "\n"
+        rows.writerow([r["degree"], r["lhs"], r["rhs"], str(r["match"]).lower()])
+    rows.writerow(["ok", str(report["ok"]).lower()])
+    return out.getvalue()
 
 
 def write_out(text, path):

@@ -27,10 +27,6 @@ def check_profile(pi):
     return pi
 
 
-def is_mixed(pi):
-    return "0" in pi and "1" in pi
-
-
 def rotate_profile(pi):
     """sigma(pi)[i] = pi[i+1], cyclically."""
     return pi[1:] + pi[0]
@@ -45,12 +41,16 @@ def check_closed(pi, seq):
     return tuple(map(tuple, seq))
 
 
+def step_strip(letter, before, after):
+    """(outer, inner) of the horizontal strip that the step before -> after
+    must be: after/before on a '1', before/after on a '0'."""
+    return (after, before) if letter == "1" else (before, after)
+
+
 def validate_cpp(pi, seq):
     seq = check_closed(pi, seq)
-    T = len(pi)
-    for k in range(1, T + 1):
-        outer, inner = (seq[k], seq[k - 1]) if pi[k - 1] == "1" else (seq[k - 1], seq[k])
-        if not is_horizontal_strip(outer, inner):
+    for k in range(1, len(pi) + 1):
+        if not is_horizontal_strip(*step_strip(pi[k - 1], seq[k - 1], seq[k])):
             raise AssertionError((pi, seq, k))
     return seq
 
@@ -85,10 +85,7 @@ def enumerate_cpps(pi, max_weight):
         mu0 = seq[0]
         if k == T:
             # last step must land exactly on mu^0
-            if pi[T - 1] == "1":
-                ok = is_horizontal_strip(mu0, seq[-1])
-            else:
-                ok = is_horizontal_strip(seq[-1], mu0)
+            ok = is_horizontal_strip(*step_strip(pi[T - 1], seq[-1], mu0))
             if ok and used + sum(mu0) <= max_weight:
                 out.append(tuple(seq) + (mu0,))
             return
@@ -356,47 +353,6 @@ def local_commutation_check(pi, seq, i, j, mi, mj):
 
 
 # ---------------------------------------------------------------------------
-# diagonal weights
-
-
-def profile_path(pi):
-    """Vertices of the boundary path in the plane: '1' ascends, '0' steps left."""
-    pts = [(0, 0)]
-    for b in pi:
-        x, y = pts[-1]
-        pts.append((x, y + 1) if b == "1" else (x - 1, y))
-    return pts
-
-
-def diag_weight(pi, labels, k):
-    """Number of boxes the diagram contributes to the k-th diagonal."""
-    if not labels:
-        return 0
-    if not is_mixed(pi):
-        raise AssertionError("profile %r is not mixed" % (pi,))
-    T = len(pi)
-    n = pi.count("0")
-    m = pi.count("1")
-    pts = profile_path(pi)
-
-    def pt(q):
-        r, s = divmod(q, T)
-        x, y = pts[s]
-        return (x - r * n, y + r * m)
-
-    px, py = pts[k]
-    total = 0
-    for (i, j, w), lab in labels.items():
-        a, b = i, j + w * T
-        tx, ty = pt(b - 1)[0], pt(a)[1]
-        rmin = -((px - tx) // n)  # ceil((tx - px) / n)
-        rmax = (py - ty) // m
-        if rmax >= rmin:
-            total += lab * (rmax - rmin + 1)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # the unrefined product identity
 
 
@@ -435,8 +391,7 @@ def borodin_lhs(pi, max_weight, base=None):
                             reached[w + size] = reached.get(w + size, 0) + n
             states = nxt
         for mu, walks in states.items():
-            outer, inner = (mu0, mu) if pi[-1] == "1" else (mu, mu0)
-            if is_horizontal_strip(outer, inner):
+            if is_horizontal_strip(*step_strip(pi[-1], mu, mu0)):
                 for w, n in walks.items():
                     counts[w] += n
     return counts
@@ -469,6 +424,16 @@ def hook_exponent_vector(pi, i, j, winding):
         exps[p] += 1
         p = (p + 1) % T
     return tuple(exps)
+
+
+def alcd_refined_weight(pi, labels):
+    """Refined weight of a labelled diagram: the sum of label times
+    hook_exponent_vector over its boxes, one entry per z_1, ..., z_T."""
+    total = [0] * len(pi)
+    for box, m in labels.items():
+        for k, e in enumerate(hook_exponent_vector(pi, *box)):
+            total[k] += m * e
+    return tuple(total)
 
 
 def hook_vectors(pi, max_weight):

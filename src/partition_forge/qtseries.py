@@ -18,6 +18,7 @@ from .cylindric import (
     cpp_weight,
     enumerate_cpps,
     hook_vectors,
+    step_strip,
 )
 from .paths import dc_alphabet
 
@@ -81,11 +82,19 @@ def _strip_columns(la, mu):
 
 
 @lru_cache(maxsize=None)
-def _pieri(la, mu, on_strip):
-    """Arm-leg factors (a, l + 1) / (a + 1, l) of the boxes of la over those
-    of mu, taken in the columns of the strip la/mu (on_strip) or, inverted,
-    in the other columns.  Cached for the process, so the result is shared:
-    pieri_phi and pieri_psi hand out copies."""
+def _pieri_step(step, before, after):
+    """Factor pairs of the Pieri coefficient of one CPP step before -> after:
+    phi(after/before) on a '1' step, psi(before/after) on a '0' step.
+
+    With la/mu the strip of the step, these are the arm-leg factors
+    (a, l + 1) / (a + 1, l) of the boxes of la over those of mu, taken in the
+    columns of the strip on a '1' step or, inverted, in the other columns on
+    a '0' step.  Raises unless the step is a horizontal strip.  Cached for
+    the process; a tuple, so no caller can change it."""
+    la, mu = step_strip(step, before, after)
+    if not is_horizontal_strip(la, mu):
+        raise AssertionError("%r/%r is not a horizontal strip" % (la, mu))
+    on_strip = step == "1"
     cols = set(_strip_columns(la, mu))
     sign = 1 if on_strip else -1
     pairs = []
@@ -95,30 +104,17 @@ def _pieri(la, mu, on_strip):
                 if (j in cols) == on_strip:
                     a, l = arm(shape, (i, j)), leg(shape, (i, j))
                     pairs += [((a, l + 1), s), ((a + 1, l), -s)]
-    return fp_validate(series.accumulate(pairs))
+    return tuple(fp_validate(series.accumulate(pairs)).items())
 
 
 def pieri_phi(la, mu):
     """Coefficient of the horizontal strip la/mu in the h-type Pieri rule."""
-    return dict(_pieri(la, mu, True))
+    return dict(_pieri_step("1", mu, la))
 
 
 def pieri_psi(la, mu):
     """Companion coefficient over the columns the strip does not touch."""
-    return dict(_pieri(la, mu, False))
-
-
-@lru_cache(maxsize=None)
-def _pieri_step(step, before, after):
-    """Factor pairs of the Pieri coefficient of one CPP step before -> after:
-    phi(after/before) on a '1' step, psi(before/after) on a '0' step.
-    Raises unless the step is a horizontal strip.  Cached for the process;
-    a tuple, so no caller can change it."""
-    up = step == "1"
-    la, mu = (after, before) if up else (before, after)
-    if not is_horizontal_strip(la, mu):
-        raise AssertionError("%r/%r is not a horizontal strip" % (la, mu))
-    return tuple(_pieri(la, mu, up).items())
+    return dict(_pieri_step("0", la, mu))
 
 
 def weight_function(pi, seq):

@@ -123,7 +123,6 @@ def test_corner_sum_round_trip():
         bar = A.left_corner_sums(m)
         under = A.right_corner_sums(m)
         assert A.asm_from_left_sums(bar) == m
-        assert A.asm_from_right_sums(under) == m
         # last row and column of the left sums run 1..n
         assert bar[-1] == (1, 2, 3, 4)
         assert tuple(r[-1] for r in bar) == (1, 2, 3, 4)
@@ -142,10 +141,6 @@ def test_corner_sum_round_trip():
 def test_inversions_fixture():
     assert A.inversions(A4) == [(1, 1), (1, 2), (2, 1)]
     assert A.dual_inversions(A4) == [(1, 4), (3, 3)]
-
-
-def test_monotone_triangle_fixture():
-    assert A.monotone_triangle(A4) == ((1, 2, 3, 4), (1, 2, 4), (1, 3), (3,))
 
 
 def test_inversion_left_sum_criterion():
@@ -212,27 +207,11 @@ FAMILY_LEFT = {
 }
 
 
-# right_above_family of B3 at bit tuples that set one sign each; row 2 of
-# B3 holds two signs, so these pin which bit belongs to which sign
-B3 = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
-
-FAMILY_RIGHT_ABOVE = {
-    (0, 0, 0, 0): ((0, 1, 0, 0), (1, -1, 1, 0), (0, 1, -1, 1), (0, 0, 1, 0)),
-    (1, 0, 0, 0): ((0, 0, 1, 0), (1, 0, 0, 0), (0, 1, -1, 1), (0, 0, 1, 0)),
-    (0, 1, 0, 0): ((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, -1, 1), (0, 0, 1, 0)),
-    (0, 0, 1, 0): ((0, 1, 0, 0), (1, -1, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)),
-    (0, 0, 0, 1): ((0, 1, 0, 0), (1, -1, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
-    (1, 1, 1, 1): ((0, 0, 1, 0), (0, 1, -1, 1), (1, -1, 1, 0), (0, 1, 0, 0)),
-}
-
-
 def test_interlacing_families_fixture():
     for bits, want in FAMILY_RIGHT.items():
         assert A.right_below_family(X4, bits) == want
     for bits, want in FAMILY_LEFT.items():
         assert A.left_below_family(X4, bits) == want
-    for bits, want in FAMILY_RIGHT_ABOVE.items():
-        assert A.right_above_family(B3, bits) == want
 
 
 def test_family_complement_and_extremes():
@@ -245,29 +224,29 @@ def test_family_complement_and_extremes():
             assert A.left_below_family(b, bits) == A.right_below_family(b, comp)
 
 
-def test_above_family_complement():
-    for b in A.enumerate_asms(3):
-        k = sum(1 for row in b for v in row if v == 1)
-        for bits in product((0, 1), repeat=k):
-            comp = tuple(1 - x for x in bits)
-            assert A.left_above_family(b, bits) == A.right_above_family(b, comp)
-
-
 def test_above_below_adjoint():
-    # a left-interlaces below b  iff  b left-interlaces above a
-    for b in A.enumerate_asms(3):
-        kdown = sum(1 for row in b for v in row if v == -1)
-        below = {
-            A.left_below_family(b, bits)
-            for bits in product((0, 1), repeat=kdown)
-        }
-        for a in A.enumerate_asms(2):
-            kup = sum(1 for row in a for v in row if v == 1)
-            above = {
-                A.left_above_family(a, bits)
-                for bits in product((0, 1), repeat=kup)
+    # a left-interlaces below b iff its left corner sums lie between those of
+    # b at the four corners of each cell; the bit choices of the family
+    # reach each such a exactly once
+    for n in range(4):
+        sums = {a: A.left_corner_sums(a) for a in A.enumerate_asms(n)}
+        for b in A.enumerate_asms(n + 1):
+            g = A.left_corner_sums(b)
+            interlacing = {
+                a
+                for a, bar in sums.items()
+                if all(
+                    max(g[i][j], g[i + 1][j + 1] - 1)
+                    <= bar[i][j]
+                    <= min(g[i][j + 1], g[i + 1][j])
+                    for i in range(n)
+                    for j in range(n)
+                )
             }
-            assert (a in below) == (b in above)
+            k = sum(1 for row in b for v in row if v == -1)
+            family = [A.left_below_family(b, bits) for bits in product((0, 1), repeat=k)]
+            assert len(set(family)) == len(family) == 2**k
+            assert set(family) == interlacing
 
 
 def test_weight_drop_marks_inversions():

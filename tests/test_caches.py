@@ -14,7 +14,6 @@ CACHES = (
     P.hstrips_down,
     P.hstrips_up,
     P.partitions_upto,
-    Q._pieri,
     Q._pieri_step,
     L._layer_alphabet,
 )
@@ -36,15 +35,6 @@ def test_strip_tables_match_their_plain_functions():
             assert type(want) is tuple
             for _ in range(2):
                 assert P.hstrips_up(la, cap) == want
-
-
-def test_pieri_memo_matches_the_plain_function():
-    for la in P.partitions_upto(5):
-        for mu in P.hstrips_down(la):
-            for on_strip in (True, False):
-                want = list(Q._pieri.__wrapped__(la, mu, on_strip).items())
-                for _ in range(2):
-                    assert list(Q._pieri(la, mu, on_strip).items()) == want
 
 
 def test_step_and_layer_tables_match_their_plain_functions():
@@ -114,7 +104,6 @@ print(json.dumps(sizes))
         "partition_forge.partitions.hstrips_down",
         "partition_forge.partitions.hstrips_up",
         "partition_forge.partitions.partitions_upto",
-        "partition_forge.qtseries._pieri",
         "partition_forge.qtseries._pieri_step",
         "partition_forge.paths._layer_alphabet",
     }

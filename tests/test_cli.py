@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -221,6 +222,18 @@ def test_csv_format(tmp_path):
     assert lines[0] == "degree,lhs,rhs,match"
     assert lines[1] == "pp:z^0,1,1,true"
     assert lines[-1] == "ok,true"
+    # degree labels such as (1,1):z^2 hold commas and come back whole
+    args = ["verify-stanley", "--n", "3", "--max-weight", "2", "--out"]
+    assert run_cli(args + [out, "--format", "csv"]) == 0
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["degree", "lhs", "rhs", "match"]
+    assert rows[-1] == ["ok", "true"]
+    assert all(len(row) == 4 for row in rows[1:-1])
+    assert run_cli(args + [out]) == 0
+    degrees = [r["degree"] for r in read_report(out)["coefficients"]]
+    assert any("," in d for d in degrees)
+    assert [row[0] for row in rows[1:-1]] == degrees
 
 
 def test_enumerate_cpps(tmp_path):

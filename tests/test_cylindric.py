@@ -165,7 +165,7 @@ def test_diag_weights():
         t = len(pi)
         for seq in Y.enumerate_cpps(pi, 5):
             gamma, labels, _ = Y.phi(pi, seq)
-            diags = [Y.diag_weight(pi, labels, k) for k in range(1, t + 1)]
+            diags = Y.alcd_refined_weight(pi, labels)
             assert sum(diags) == Y.alcd_weight(pi, labels)
             for k in range(1, t + 1):
                 assert sum(seq[k]) == sum(gamma) + diags[k - 1], (pi, seq, k)
@@ -178,9 +178,7 @@ def test_refined_bijection_multiset():
     rhs = []
     for labels in Y.enumerate_alcds(pi, 5):
         for gamma in P.partitions_upto((5 - Y.alcd_weight(pi, labels)) // 3):
-            vec = tuple(
-                sum(gamma) + Y.diag_weight(pi, labels, k) for k in range(1, 4)
-            )
+            vec = tuple(sum(gamma) + w for w in Y.alcd_refined_weight(pi, labels))
             if sum(vec) <= 5:
                 rhs.append(vec)
     assert lhs == sorted(rhs)

@@ -160,6 +160,32 @@ def test_pieri_phi_fixture():
     assert Q.pieri_psi((2, 1), (2, 1)) == {}
 
 
+NOT_STRIPS = [
+    ((1, 1), ()),  # two boxes in one column
+    ((2,), (1, 1)),  # mu not inside la
+    ((1,), (2,)),  # the strip runs the wrong way
+]
+
+
+def test_pieri_rejects_a_non_strip():
+    for la, mu in NOT_STRIPS:
+        for pieri in (Q.pieri_phi, Q.pieri_psi):
+            with pytest.raises(AssertionError):
+                pieri(la, mu)
+    code = """
+from partition_forge.qtseries import pieri_phi, pieri_psi
+for la, mu in %r:
+    for pieri in (pieri_phi, pieri_psi):
+        try:
+            pieri(la, mu)
+        except AssertionError:
+            continue
+        raise SystemExit("%%s accepted %%r/%%r" %% (pieri.__name__, la, mu))
+""" % (NOT_STRIPS,)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pieri_q_equals_t_trivial():
     # at q = t every coefficient is 1
     from partition_forge import partitions as P
