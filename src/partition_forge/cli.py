@@ -186,7 +186,7 @@ def check_bijection(pi, max_weight, budget):
     # per weight class: CPPs, distinct image pairs, pairs on the ALCD side
     lhs_by_weight, by_weight, rhs_by_weight = {}, {}, {}
     for seq in seqs:
-        gamma, labels, _ = cylindric.phi(pi, seq)
+        gamma, labels = cylindric.phi(pi, seq)
         w = cylindric.cpp_weight(seq)
         if (
             w == t * sum(gamma) + cylindric.alcd_weight(pi, labels)
@@ -568,7 +568,7 @@ KINDS = {
     ], None),
     "asms": ({"n": REQUIRED}, lambda b: [
         [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(b.n))
-    ], None),
+    ], lambda b: asmmod.x_enumeration(b.n, 1)),
     # printed in enumerate_tilings' order; sorted() would keep it, since
     # tilings are frozensets and those compare by inclusion
     "tilings": ({"n": REQUIRED}, lambda b: [
@@ -587,8 +587,8 @@ def resolve(args, bounds, name):
 
     args itself is left as parsed, because the report echoes only the bounds
     that were given.  A missing REQUIRED bound, a bound the command does not
-    read, a negative integer bound, fewer than one point and a malformed
-    profile are usage errors.
+    read, a negative integer bound or cap, fewer than one point and a
+    malformed profile are usage errors.
     """
     b = argparse.Namespace(**vars(args))
     for bound, kind in BOUNDS.items():
@@ -605,6 +605,8 @@ def resolve(args, bounds, name):
             usage_error("%s must be >= 0" % flag)
     if getattr(args, "points", 1) < 1:
         usage_error("--points must be >= 1")
+    if args.max_instances < 0:
+        usage_error("--max-instances must be >= 0")
     if getattr(b, "profile", None) is not None:
         try:
             cylindric.check_profile(b.profile)

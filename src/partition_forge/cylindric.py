@@ -64,17 +64,6 @@ def cpp_refined_weight(seq):
     return tuple(sum(mu) for mu in seq[1:])
 
 
-def rotate_cpp(pi, seq):
-    """Shift the sequence one step along the cylinder."""
-    new = tuple(seq[1:]) + (seq[1],)
-    return rotate_profile(pi), new
-
-
-def unrotate_cpp(pi, seq):
-    new = (seq[-2],) + tuple(seq[:-1])
-    return pi[-1] + pi[:-1], new
-
-
 def enumerate_cpps(pi, max_weight):
     """All cylindric plane partitions over pi of weight at most max_weight."""
     check_profile(pi)
@@ -144,65 +133,6 @@ def normalize_box(a, b, T):
     return (a, j + 1, w)
 
 
-def rotate_alcd(pi, labels):
-    out = {}
-    T = len(pi)
-    for (i, j, w), m in labels.items():
-        out[normalize_box(i - 1, j + w * T - 1, T)] = m
-    return rotate_profile(pi), out
-
-
-def unrotate_alcd(pi, labels):
-    out = {}
-    T = len(pi)
-    for (i, j, w), m in labels.items():
-        out[normalize_box(i + 1, j + w * T + 1, T)] = m
-    return pi[-1] + pi[:-1], out
-
-
-def add_corner(pi, labels, i, m):
-    """Fill the valley at linear position i (pi[i] = '0', pi[i+1] = '1').
-
-    Existing boxes keep their cover classes; the new outside-corner box gets
-    the label m.
-    """
-    T = len(pi)
-    if not (1 <= i < T and pi[i - 1] == "0" and pi[i] == "1"):
-        raise AssertionError("no valley at %d of %r" % (i, pi))
-    new_pi = pi[: i - 1] + "10" + pi[i + 1 :]
-    out = {}
-    for (bi, bj, w), lab in labels.items():
-        a, b = bi, bj + w * T
-        if a % T == (i + 1) % T:
-            a -= 1
-        if b % T == i % T:
-            b += 1
-        out[normalize_box(a, b, T)] = lab
-    if m:
-        out[(i, i + 1, 0)] = m
-    return new_pi, out
-
-
-def remove_corner(pi, labels, i):
-    """Inverse of add_corner: strip the peak at linear position i."""
-    T = len(pi)
-    if not (1 <= i < T and pi[i - 1] == "1" and pi[i] == "0"):
-        raise AssertionError("no peak at %d of %r" % (i, pi))
-    new_pi = pi[: i - 1] + "01" + pi[i + 1 :]
-    m = labels.get((i, i + 1, 0), 0)
-    out = {}
-    for (bi, bj, w), lab in labels.items():
-        if (bi, bj, w) == (i, i + 1, 0):
-            continue
-        a, b = bi, bj + w * T
-        if a % T == i % T:
-            a += 1
-        if b % T == (i + 1) % T:
-            b -= 1
-        out[normalize_box(a, b, T)] = lab
-    return new_pi, out, m
-
-
 def cylindric_boxes(pi, max_hook):
     """Boxes (i, j, w) with hook at most max_hook, by winding, then i, then j."""
     T = len(pi)
@@ -240,36 +170,18 @@ def enumerate_alcds(pi, max_weight):
 # the weight-preserving bijection
 
 
-def down_step(pi, seq, i):
-    """Apply the column-deletion rule at the peak i; returns (label, new seq)."""
-    T = len(pi)
-    if not (pi[i - 1] == "1" and pi[i % T] == "0"):
-        raise AssertionError("no peak at %d of %r" % (i, pi))
+def down_step(seq, i):
+    """Column deletion at the linear peak i; returns (label, new seq)."""
     seq = list(seq)
-    m, nu = burge_down(seq[i - 1], seq[(i + 1) if i < T else 1], seq[i])
-    seq[i] = nu
-    if i == T:
-        seq[0] = nu
-    new_pi = (
-        pi[: i - 1] + "01" + pi[i + 1 :] if i < T else "1" + pi[1:-1] + "0"
-    )
-    return m, new_pi, tuple(seq)
+    m, seq[i] = burge_down(seq[i - 1], seq[i + 1], seq[i])
+    return m, tuple(seq)
 
 
-def up_step(pi, seq, i, m):
-    """Apply the column-insertion rule at the valley i."""
-    T = len(pi)
-    if not (pi[i - 1] == "0" and pi[i % T] == "1"):
-        raise AssertionError("no valley at %d of %r" % (i, pi))
+def up_step(seq, i, m):
+    """Column insertion of the label m at the linear valley i."""
     seq = list(seq)
-    la = burge_up(seq[i - 1], seq[(i + 1) if i < T else 1], m, seq[i])
-    seq[i] = la
-    if i == T:
-        seq[0] = la
-    new_pi = (
-        pi[: i - 1] + "10" + pi[i + 1 :] if i < T else "0" + pi[1:-1] + "1"
-    )
-    return new_pi, tuple(seq)
+    seq[i] = burge_up(seq[i - 1], seq[i + 1], m, seq[i])
+    return tuple(seq)
 
 
 def first_descent(pi):
@@ -280,36 +192,47 @@ def first_descent(pi):
     return None
 
 
+def sort_steps(pi):
+    """The schedule that sorts pi around the cylinder, without end.
+
+    At the leftmost linear peak i it swaps the two letters and yields (i, box);
+    otherwise it rotates the profile one place and yields (None, None).  Each
+    letter keeps its coordinate on the cover, which grows by T each time the
+    letter rotates to the back, and box is named by the coordinates of the
+    swapped '1' and '0'.  The boxes depend on pi alone, so phi and psi walk
+    the same schedule.
+    """
+    T = len(pi)
+    coords = list(range(1, T + 1))
+    while True:
+        i = first_descent(pi)
+        if i is None:
+            pi = rotate_profile(pi)
+            coords = coords[1:] + [coords[0] + T]
+            yield None, None
+        else:
+            pi = pi[: i - 1] + "01" + pi[i + 1 :]
+            coords[i - 1], coords[i] = coords[i], coords[i - 1]
+            yield i, normalize_box(coords[i], coords[i - 1], T)
+
+
 def phi(pi, seq):
     """Cylindric plane partition -> (base partition, labelled diagram)."""
     seq = validate_cpp(pi, seq)
     T = len(pi)
     limit = (cpp_weight(seq) + T + 2) * (2 * T + 2) + 10
-    ops = []
-    cur_pi, cur = pi, seq
-    rotations = 0
-    while any(mu != cur[0] for mu in cur):
-        i = first_descent(cur_pi)
-        if i is not None:
-            m, cur_pi, cur = down_step(cur_pi, cur, i)
-            ops.append((i, m))
-        else:
-            cur_pi, cur = rotate_cpp(cur_pi, cur)
-            ops.append(None)
-            rotations += 1
-        if len(ops) > limit:
+    labels = {}
+    for done, (i, box) in enumerate(sort_steps(pi)):
+        if all(mu == seq[0] for mu in seq):
+            return seq[0], labels
+        if done == limit:
             raise AssertionError("no end after %d steps" % limit)
-    gamma = cur[0]
-    d_pi, labels = cur_pi, {}
-    for op in reversed(ops):
-        if op is None:
-            d_pi, labels = unrotate_alcd(d_pi, labels)
+        if i is None:
+            seq = seq[1:] + seq[1:2]
         else:
-            i, m = op
-            d_pi, labels = add_corner(d_pi, labels, i, m)
-    if d_pi != pi:
-        raise AssertionError("diagram profile %r, expected %r" % (d_pi, pi))
-    return gamma, labels, rotations
+            m, seq = down_step(seq, i)
+            if m:
+                labels[box] = m
 
 
 def psi(pi, gamma, labels):
@@ -317,37 +240,26 @@ def psi(pi, gamma, labels):
     labels = validate_alcd(pi, labels)
     T = len(pi)
     limit = (alcd_weight(pi, labels) + T + 2) * (2 * T + 2) + 10
-    ops = []
-    cur_pi, cur_labels = pi, labels
-    while cur_labels:
-        i = first_descent(cur_pi)
-        if i is not None:
-            cur_pi, cur_labels, m = remove_corner(cur_pi, cur_labels, i)
-            ops.append((i, m))
-        else:
-            cur_pi, cur_labels = rotate_alcd(cur_pi, cur_labels)
-            ops.append(None)
-        if len(ops) > limit:
+    todo, steps = set(labels), []
+    for i, box in sort_steps(pi):
+        if not todo:
+            break
+        if len(steps) == limit:
             raise AssertionError("no end after %d steps" % limit)
+        todo.discard(box)
+        steps.append((i, labels.get(box, 0)))
     seq = (gamma,) * (T + 1)
-    for op in reversed(ops):
-        if op is None:
-            cur_pi, seq = unrotate_cpp(cur_pi, seq)
-        else:
-            i, m = op
-            cur_pi, seq = up_step(cur_pi, seq, i, m)
-    if cur_pi != pi:
-        raise AssertionError("profile %r, expected %r" % (cur_pi, pi))
+    for i, m in reversed(steps):
+        seq = (seq[-2],) + seq[:-1] if i is None else up_step(seq, i, m)
     return validate_cpp(pi, seq)
 
 
 def local_commutation_check(pi, seq, i, j, mi, mj):
     """Insertions at two disjoint valleys commute."""
-    p1, s1 = up_step(pi, seq, i, mi)
-    p1, s1 = up_step(p1, s1, j, mj)
-    p2, s2 = up_step(pi, seq, j, mj)
-    p2, s2 = up_step(p2, s2, i, mi)
-    if (p1, s1) != (p2, s2):
+    if i == j or not all(1 <= k < len(pi) and pi[k - 1 : k + 1] == "01" for k in (i, j)):
+        raise AssertionError("no valleys at %d and %d of %r" % (i, j, pi))
+    s1 = up_step(up_step(seq, i, mi), j, mj)
+    if s1 != up_step(up_step(seq, j, mj), i, mi):
         raise AssertionError("insertions at %d and %d do not commute" % (i, j))
     return s1
 

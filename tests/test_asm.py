@@ -35,7 +35,7 @@ def test_validators_raise_under_python_O():
 from math import factorial
 import partition_forge.asm as A
 from partition_forge.asm import asm_count_formula, validate_asm
-from partition_forge.cylindric import add_corner, check_profile, validate_alcd, validate_cpp
+from partition_forge.cylindric import check_profile, local_commutation_check, validate_alcd, validate_cpp
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
@@ -71,7 +71,7 @@ for check in (
     lambda: asms_to_tiling(2, ((1, 0), (0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
     lambda: fp_validate({(0, 0): 1}),
     lambda: paths_to_cpp("10", [(1, "10")]),
-    lambda: add_corner("10", {}, 1, 1),
+    lambda: local_commutation_check("10", ((), (), ()), 1, 1, 0, 0),
     lambda: binomial_factor((0,), -1, degree_cap(3)),
     inexact_asm_count,
 ):

@@ -259,6 +259,14 @@ def test_enumerate_tilings(tmp_path):
         assert all(set(d) == {"x", "y", "dir"} for d in tiling)
 
 
+def test_enumerate_asms_charges_the_count_before_listing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(asmmod, "enumerate_asms", lambda n: calls.append(n) or [])
+    assert cli.main(["enumerate", "--kind", "asms", "--n", "6", "--max-instances", "100"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 7436 > 100\n"
+    assert calls == []
+
+
 def test_enumerate_requires_profile(capsys):
     code = run_cli(["enumerate", "--kind", "cpps"])
     capsys.readouterr()
@@ -285,6 +293,8 @@ USAGE_ERRORS = [
     ("verify-asm --n -1", "error: --n must be >= 0"),
     ("enumerate --kind asms --n -1", "error: --n must be >= 0"),
     ("verify-lambda-det --n 2 --points 0", "error: --points must be >= 1"),
+    ("verify-borodin --max-instances -1", "error: --max-instances must be >= 0"),
+    ("enumerate --max-weight 2 --max-instances -1", "error: --max-instances must be >= 0"),
     ("verify-aztec --n 0", "error: nothing to compare at these bounds"),
     ("verify-lambda-det --n 0", "error: nothing to compare at these bounds"),
 ]

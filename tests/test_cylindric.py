@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -29,13 +29,6 @@ def test_example_cpp():
     Y.validate_cpp(EXAMPLE_PI, EXAMPLE_SEQ)
     assert Y.cpp_weight(EXAMPLE_SEQ) == 51
     assert Y.cpp_refined_weight(EXAMPLE_SEQ) == (10, 9, 15, 10, 7)
-
-
-def test_rotate_cpp_round_trip():
-    pi, seq = Y.rotate_cpp(EXAMPLE_PI, EXAMPLE_SEQ)
-    Y.validate_cpp(pi, seq)
-    assert Y.cpp_weight(seq) == 51
-    assert Y.unrotate_cpp(pi, seq) == (EXAMPLE_PI, EXAMPLE_SEQ)
 
 
 def test_enumerate_cpps_small():
@@ -110,53 +103,46 @@ def test_alcd_stats():
     assert Y.alcd_weight(pi, labels) == 2 * 1 + 1 * 2 + 3 * 8
 
 
-def test_alcd_rotation_round_trip():
-    pi = "10100"
-    labels = {(1, 2, 0): 2, (3, 5, 0): 1, (1, 4, 1): 3}
-    cur_pi, cur = pi, labels
-    for _ in range(len(pi)):
-        nxt_pi, nxt = Y.rotate_alcd(cur_pi, cur)
-        Y.validate_alcd(nxt_pi, nxt)
-        assert Y.alcd_weight(nxt_pi, nxt) == Y.alcd_weight(cur_pi, cur)
-        assert Y.unrotate_alcd(nxt_pi, nxt) == (cur_pi, cur)
-        cur_pi, cur = nxt_pi, nxt
-    assert (cur_pi, cur) == (pi, labels)
-
-
-def test_corner_round_trip():
-    pi = "0110"
-    labels = {(2, 4, 0): 1, (3, 1, 1): 2}
-    new_pi, new = Y.add_corner(pi, labels, 1, 5)
-    assert new_pi == "1010"
-    Y.validate_alcd(new_pi, new)
-    back_pi, back, m = Y.remove_corner(new_pi, new, 1)
-    assert (back_pi, back, m) == (pi, labels, 5)
-
-
 def test_phi_tiny():
-    gamma, labels, _ = Y.phi("10", ((), (1,), ()))
+    gamma, labels = Y.phi("10", ((), (1,), ()))
     assert gamma == ()
     assert labels == {(1, 2, 0): 1}
     assert Y.psi("10", (), {(1, 2, 0): 1}) == ((), (1,), ())
 
 
+def test_phi_example():
+    gamma, labels = Y.phi(EXAMPLE_PI, EXAMPLE_SEQ)
+    assert gamma == (3, 2)
+    assert labels == {(1, 2, 0): 1, (1, 5, 0): 1, (1, 5, 1): 1, (3, 4, 0): 5, (3, 5, 1): 1}
+    assert Y.psi(EXAMPLE_PI, gamma, labels) == EXAMPLE_SEQ
+
+
+def test_sort_steps_visit_each_box_once():
+    # every box of the diagram is labelled by exactly one deletion
+    for pi in mixed_profiles(6):
+        steps = islice(Y.sort_steps(pi), 400)
+        boxes = [box for i, box in steps if i is not None]
+        assert len(set(boxes)) == len(boxes), pi
+        assert set(Y.cylindric_boxes(pi, 3 * len(pi))) <= set(boxes), pi
+
+
 def test_phi_psi_round_trip_small():
     for pi in ["10", "01", "110", "100"]:
         for seq in Y.enumerate_cpps(pi, 5):
-            gamma, labels, _ = Y.phi(pi, seq)
+            gamma, labels = Y.phi(pi, seq)
             w = Y.cpp_weight(seq)
             assert w == len(pi) * sum(gamma) + Y.alcd_weight(pi, labels)
             assert Y.psi(pi, gamma, labels) == seq
 
 
 def test_psi_phi_round_trip_small():
-    for pi in ["10", "010"]:
+    for pi in mixed_profiles(4):
         t = len(pi)
         for labels in Y.enumerate_alcds(pi, 4):
             for gamma in P.partitions_upto(2):
                 seq = Y.psi(pi, gamma, labels)
                 assert Y.cpp_weight(seq) == t * sum(gamma) + Y.alcd_weight(pi, labels)
-                g2, l2, _ = Y.phi(pi, seq)
+                g2, l2 = Y.phi(pi, seq)
                 assert (g2, l2) == (gamma, labels)
 
 
@@ -164,7 +150,7 @@ def test_diag_weights():
     for pi in ["10", "110", "100"]:
         t = len(pi)
         for seq in Y.enumerate_cpps(pi, 5):
-            gamma, labels, _ = Y.phi(pi, seq)
+            gamma, labels = Y.phi(pi, seq)
             diags = Y.alcd_refined_weight(pi, labels)
             assert sum(diags) == Y.alcd_weight(pi, labels)
             for k in range(1, t + 1):
@@ -192,15 +178,13 @@ def test_local_commutation():
                 Y.local_commutation_check(pi, seq, 1, 3, mi, mj)
 
 
-def test_up_down_wrap_step():
-    # the pair (T, 1) is a peak of "01" and becomes a valley of "10"
-    pi = "01"
-    seq = ((2,), (1,), (2,))
-    Y.validate_cpp(pi, seq)
-    m, new_pi, new_seq = Y.down_step(pi, seq, 2)
-    assert new_pi == "10"
-    Y.validate_cpp(new_pi, new_seq)
-    assert Y.up_step(new_pi, new_seq, 2, m) == (pi, seq)
+def test_up_step_inverts_down_step():
+    # at both linear peaks of the example; each deletion leaves a CPP over
+    # the profile with that peak turned into a valley
+    for i in (1, 3):
+        m, seq = Y.down_step(EXAMPLE_SEQ, i)
+        Y.validate_cpp(EXAMPLE_PI[: i - 1] + "01" + EXAMPLE_PI[i + 1 :], seq)
+        assert Y.up_step(seq, i, m) == EXAMPLE_SEQ
 
 
 def test_invalid_cpp_rejected():
