@@ -42,20 +42,29 @@ class Budget(object):
             )
 
 
-def frac_str(v):
-    v = Fraction(v)
-    return "%d/%d" % (v.numerator, v.denominator) if v.denominator != 1 else str(
-        v.numerator
-    )
-
-
 def record(degree, lhs, rhs):
-    return {
-        "degree": str(degree),
-        "lhs": frac_str(lhs),
-        "rhs": frac_str(rhs),
-        "match": Fraction(lhs) == Fraction(rhs),
-    }
+    """One compared coefficient; str() prints an int or Fraction as 5 or -2/3."""
+    return {"degree": str(degree), "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs}
+
+
+def compare(label, lhs, rhs, keys):
+    """One record per key, named label % key; a side that lacks a key reads 0."""
+    return [record(label % key, lhs.get(key, 0), rhs.get(key, 0)) for key in keys]
+
+
+def tally(label, items, holds):
+    """One record: how many items hold, against how many there are."""
+    items = list(items)
+    return record(label, sum(1 for x in items if holds(x)), len(items))
+
+
+def z_product(factors, max_weight):
+    """Coefficients of prod (1 - z^h)^power over (h, power), up to z^max_weight."""
+    keep = series.degree_cap(max_weight)
+    total = series.product(
+        [series.binomial_factor((h,), power, keep) for h, power in factors], 1, keep
+    )
+    return [total.get((w,), 0) for w in range(max_weight + 1)]
 
 
 def mixed_profiles(max_t):
@@ -80,10 +89,7 @@ def check_borodin(pi, max_weight, budget):
     lhs = cylindric.borodin_lhs(pi, max_weight)
     budget.spend(sum(lhs))
     rhs = cylindric.borodin_rhs(pi, max_weight)
-    return [
-        record("%s:z^%d" % (pi, w), lhs[w], rhs[w])
-        for w in range(max_weight + 1)
-    ]
+    return compare(pi + ":z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1))
 
 
 def check_qt_borodin(pi, max_weight, qt_degree, budget):
@@ -91,33 +97,23 @@ def check_qt_borodin(pi, max_weight, qt_degree, budget):
     budget.spend(sum(counts))
     lhs = qtseries.qt_borodin_lhs(pi, max_weight, qt_degree)
     rhs = qtseries.qt_borodin_rhs(pi, max_weight, qt_degree)
-    out = []
-    for key in sorted(set(lhs) | {k for k in rhs if rhs[k]}):
-        w, eq, et = key
-        out.append(
-            record(
-                "%s:z^%d q^%d t^%d" % (pi, w, eq, et),
-                lhs.get(key, 0),
-                rhs.get(key, 0),
-            )
-        )
     collapsed = qtseries.collapse_t_to_q(lhs)
-    for w in range(max_weight + 1):
-        out.append(
-            record(
-                "%s:collapse z^%d" % (pi, w),
-                collapsed.get((w, 0, 0), 0),
-                counts[w],
-            )
-        )
-    return out
+    degrees = range(max_weight + 1)
+    return compare(
+        pi + ":z^%d q^%d t^%d", lhs, rhs, sorted(set(lhs) | {k for k in rhs if rhs[k]})
+    ) + compare(
+        pi + ":collapse z^%d",
+        {w: collapsed.get((w, 0, 0), 0) for w in degrees},
+        dict(enumerate(counts)),
+        degrees,
+    )
 
 
 def check_weight_simplification(pi, max_weight, budget):
+    budget.spend(sum(cylindric.borodin_lhs(pi, max_weight)))
     seqs = cylindric.enumerate_cpps(pi, max_weight)
-    budget.spend(len(seqs))
-    good = sum(1 for seq in seqs if qtseries.weight_alphabet_identity(pi, seq))
-    return [record("%s:weight<=%d" % (pi, max_weight), good, len(seqs))]
+    label = "%s:weight<=%d" % (pi, max_weight)
+    return [tally(label, seqs, lambda seq: qtseries.weight_alphabet_identity(pi, seq))]
 
 
 def check_stanley(shape, max_weight, budget):
@@ -125,20 +121,11 @@ def check_stanley(shape, max_weight, budget):
         return [record("(empty):z^0", 1, 1)]
     lhs = cylindric.borodin_lhs(partitions.minimal_profile(shape), max_weight, ())
     budget.spend(sum(lhs))
-    keep = series.degree_cap(max_weight)
-    rhs = series.product(
-        [
-            series.binomial_factor((partitions.hook(shape, s),), -1, keep)
-            for s in partitions.cells(shape)
-        ],
-        1,
-        keep,
+    rhs = z_product([(partitions.hook(shape, s), -1) for s in partitions.cells(shape)], max_weight)
+    label = ",".join(str(p) for p in shape)
+    return compare(
+        "(" + label + "):z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1)
     )
-    label = ",".join(str(p) for p in shape) or "empty"
-    return [
-        record("(%s):z^%d" % (label, w), lhs[w], rhs.get((w,), 0))
-        for w in range(max_weight + 1)
-    ]
 
 
 def _count_plane_partitions(max_weight):
@@ -154,19 +141,8 @@ def _count_plane_partitions(max_weight):
 def check_macmahon(max_weight, budget):
     lhs = _count_plane_partitions(max_weight)
     budget.spend(sum(lhs))
-    keep = series.degree_cap(max_weight)
-    rhs = series.product(
-        [
-            series.binomial_factor((n,), -n, keep)
-            for n in range(1, max_weight + 1)
-        ],
-        1,
-        keep,
-    )
-    return [
-        record("pp:z^%d" % w, lhs[w], rhs.get((w,), 0))
-        for w in range(max_weight + 1)
-    ]
+    rhs = z_product([(n, -n) for n in range(1, max_weight + 1)], max_weight)
+    return compare("pp:z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1))
 
 
 def alcd_pairs(pi, max_weight):
@@ -180,8 +156,8 @@ def alcd_pairs(pi, max_weight):
 
 def check_bijection(pi, max_weight, budget):
     t = len(pi)
+    budget.spend(sum(cylindric.borodin_lhs(pi, max_weight)))
     seqs = cylindric.enumerate_cpps(pi, max_weight)
-    budget.spend(len(seqs))
     good = 0
     # per weight class: CPPs, distinct image pairs, pairs on the ALCD side
     lhs_by_weight, by_weight, rhs_by_weight = {}, {}, {}
@@ -206,9 +182,8 @@ def check_bijection(pi, max_weight, budget):
 
 
 def check_refined_bijection(pi, max_weight, budget):
-    seqs = cylindric.enumerate_cpps(pi, max_weight)
-    budget.spend(len(seqs))
-    lhs = sorted(cylindric.cpp_refined_weight(s) for s in seqs)
+    budget.spend(sum(cylindric.borodin_lhs(pi, max_weight)))
+    lhs = sorted(map(cylindric.cpp_refined_weight, cylindric.enumerate_cpps(pi, max_weight)))
     rhs = []
     for labels, gamma, _ in alcd_pairs(pi, max_weight):
         vec = tuple(sum(gamma) + w for w in cylindric.alcd_refined_weight(pi, labels))
@@ -219,15 +194,11 @@ def check_refined_bijection(pi, max_weight, budget):
 
 
 def check_correspondences(budget):
-    out = []
-    perms = list(corr_permutations(5))
-    budget.spend(len(perms))
-    good = sum(
-        1
-        for p in perms
-        if corr.reverse_robinson(*corr.robinson(p)) == tuple(p)
-    )
-    out.append(record("robinson:S5", good, len(perms)))
+    budget.spend(factorial(5))
+    out = [tally(
+        "robinson:S5", corr_permutations(5),
+        lambda p: corr.reverse_robinson(*corr.robinson(p)) == tuple(p),
+    )]
     for n in range(1, 7):
         total = 0
         for la in partitions.partitions_of(n):
@@ -236,17 +207,17 @@ def check_correspondences(budget):
         out.append(record("involution:n=%d" % n, total, factorial(n)))
     # column rule round trip with weight balance
     shapes = partitions.partitions_upto(8)
-    good = total = 0
+    total = sum(len(partitions.hstrips_down(la)) ** 2 for la in shapes)
+    budget.spend(total)
+    good = 0
     for la in shapes:
         downs = partitions.hstrips_down(la)
         for alpha in downs:
             for beta in downs:
-                total += 1
                 m, mu = corr.burge_down(alpha, beta, la)
                 balanced = sum(la) + sum(mu) == sum(alpha) + sum(beta) + m
                 if balanced and corr.burge_up(alpha, beta, m, mu) == la:
                     good += 1
-    budget.spend(total)
     out.append(record("column-rule:|la|<=8", good, total))
     # Cauchy counts: matrices with given row and column sums
     for size in (2, 3):
@@ -334,12 +305,8 @@ def check_asm(max_n, budget):
         budget.spend(count)
         out.append(record("count:n=%d" % n, count, formula))
     for n in range(1, min(max_n, 4) + 1):
-        good = total = 0
-        for b in asmmod.enumerate_asms(n):
-            total += 1
-            if _asm_properties_hold(n, b):
-                good += 1
-        out.append(record("properties:n=%d" % n, good, total))
+        asms = asmmod.enumerate_asms(n)
+        out.append(tally("properties:n=%d" % n, asms, lambda b: _asm_properties_hold(n, b)))
     return out
 
 
@@ -384,16 +351,17 @@ def check_aztec(max_n, budget):
             sample = aztec.tilings_at(n, range(0, count, count // 32))
         else:
             sample = aztec.enumerate_tilings(n)
-        good = 0
-        for t in sample:
-            # a round trip that raises counts as failed, not as a usage error
-            try:
-                good += aztec.asms_to_tiling(n, *aztec.tiling_to_asms(n, t)) == t
-            except AssertionError:
-                pass
-        out.append(record("round-trip:n=%d" % n, good, len(sample)))
+        out.append(tally("round-trip:n=%d" % n, sample, lambda t: _round_trips(n, t)))
         out.append(record("sign-count:n=%d" % n, asmmod.x_enumeration(n + 1, 2), count))
     return out
+
+
+def _round_trips(n, tiling):
+    # a round trip that raises counts as failed, not as a usage error
+    try:
+        return aztec.asms_to_tiling(n, *aztec.tiling_to_asms(n, tiling)) == tiling
+    except AssertionError:
+        return False
 
 
 def check_lambda_det(max_n, points, seed, budget):
@@ -430,13 +398,13 @@ def check_lambda_det(max_n, points, seed, budget):
         out.append(record("numeric:n=%d" % n, good, points))
     for n in range(2, min(max_n, 3) + 1):
         levels = lambdadet.symbolic_pyramid(n)
-        good = sum(
-            1
-            for k in range(1, n + 1)
-            if levels[k][0][0]
-            == lambdadet.Rat(lambdadet.closed_form_symbolic(n, k))
+        out.append(
+            tally(
+                "symbolic:n=%d" % n,
+                range(1, n + 1),
+                lambda k: levels[k][0][0] == lambdadet.Rat(lambdadet.closed_form_symbolic(n, k)),
+            )
         )
-        out.append(record("symbolic:n=%d" % n, good, n))
     for n in range(2, min(max_n, 3) + 1):
         lam = [
             [lambdadet.rat_var(("l", 0, 0))] * n for _ in range(n)
@@ -550,22 +518,30 @@ COMMANDS = {
 }
 
 # enumerate --kind -> (bound -> default, items, count).  Items come in a fixed
-# order and are ready for JSON; count, where given, counts them without
-# listing, so the cap is charged before the work.
+# order and are ready for JSON; count counts them without listing, so the cap
+# is charged before the work.
 KINDS = {
+    # partitions of k <= W: the coefficient sum of prod_{k<=W} 1/(1 - z^k)
     "partitions": ({"max_weight": REQUIRED}, lambda b: [
         list(la) for la in partitions.partitions_upto(b.max_weight)
-    ], None),
+    ], lambda b: sum(z_product([
+        (k, -1) for k in range(1, b.max_weight + 1)
+    ], b.max_weight))),
     "cpps": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
         {"profile": b.profile, "seq": [list(mu) for mu in seq]}
         for seq in sorted(cylindric.enumerate_cpps(b.profile, b.max_weight))
-    ], None),
+    ], lambda b: sum(cylindric.borodin_lhs(b.profile, b.max_weight))),
+    # one label m >= 1 of weight m * hook on each of some boxes: the
+    # coefficient sum of prod_boxes 1/(1 - z^hook)
     "alcds": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
         emit_alcd(b.profile, labels)
         for labels in sorted(
             cylindric.enumerate_alcds(b.profile, b.max_weight), key=lambda l: sorted(l.items())
         )
-    ], None),
+    ], lambda b: sum(z_product([
+        (cylindric.box_hook(b.profile, box), -1)
+        for box in cylindric.cylindric_boxes(b.profile, b.max_weight)
+    ], b.max_weight))),
     "asms": ({"n": REQUIRED}, lambda b: [
         [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(b.n))
     ], lambda b: asmmod.x_enumeration(b.n, 1)),
@@ -623,12 +599,8 @@ def build_tasks(args, budget):
 def run_enumerate(args, budget):
     bounds, items, count = KINDS[args.kind]
     b = resolve(args, bounds, "enumerate --kind %s" % args.kind)
-    if count:
-        budget.spend(count(b))
-        return items(b)
-    out = items(b)
-    budget.spend(len(out))
-    return out
+    budget.spend(count(b))
+    return items(b)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +635,9 @@ def build_parser():
 
 def assemble_report(args, records):
     if args.perturb and records:
-        flipped = dict(records[0])
-        flipped["lhs"] = frac_str(Fraction(flipped["lhs"]) + 1)
-        flipped["match"] = Fraction(flipped["lhs"]) == Fraction(flipped["rhs"])
-        records = [flipped] + records[1:]
+        first = records[0]
+        lhs, rhs = Fraction(first["lhs"]) + 1, Fraction(first["rhs"])
+        records = [record(first["degree"], lhs, rhs)] + records[1:]
     bounds = {}
     for field in ("max_weight", "qt_degree", "n", "points", "seed"):
         v = getattr(args, field, None)

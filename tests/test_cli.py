@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -267,6 +268,54 @@ def test_enumerate_asms_charges_the_count_before_listing(monkeypatch, capsys):
     assert calls == []
 
 
+def kind_cases():
+    """(kind, bounds) pairs on which each enumerate --kind is counted and listed."""
+    for w in range(9):
+        yield "partitions", {"max_weight": w}
+    for pi in list(cli.mixed_profiles(4)) + ["1", "0"]:
+        for w in range(7):
+            yield "cpps", {"profile": pi, "max_weight": w}
+            yield "alcds", {"profile": pi, "max_weight": w}
+    for pi, w in (("110100", 12), ("10100", 14), ("10", 10), ("1", 5)):
+        yield "alcds", {"profile": pi, "max_weight": w}
+    for n in range(6):
+        yield "asms", {"n": n}
+    for n in range(5):
+        yield "tilings", {"n": n}
+
+
+def test_every_kind_counts_what_it_lists():
+    seen = set()
+    for kind, bounds in kind_cases():
+        _, items, count = cli.KINDS[kind]
+        b = argparse.Namespace(**bounds)
+        assert count(b) == len(items(b)), (kind, bounds)
+        seen.add(kind)
+    assert seen == set(cli.KINDS)
+
+
+def test_listing_paths_charge_before_they_list(monkeypatch, capsys):
+    # each run is over the cap, so it must refuse before any enumerator lists
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise RuntimeError("listed over the cap")
+
+    monkeypatch.setattr(cylindric, "enumerate_cpps", refuse)
+    monkeypatch.setattr(cylindric, "enumerate_alcds", refuse)
+    monkeypatch.setattr(cli.partitions, "partitions_upto", refuse)
+    for argv in (
+        ["enumerate", "--kind", "partitions", "--max-weight", "20"],
+        ["enumerate", "--kind", "cpps", "--profile", "10100", "--max-weight", "16"],
+        ["enumerate", "--kind", "alcds", "--profile", "10100", "--max-weight", "16"],
+        ["verify-bijection", "--profile", "10100", "--max-weight", "16"],
+    ):
+        assert cli.main(argv + ["--max-instances", "100"]) == 2, argv
+        assert "instance cap exceeded" in capsys.readouterr().err, argv
+    assert calls == []
+
+
 def test_enumerate_requires_profile(capsys):
     code = run_cli(["enumerate", "--kind", "cpps"])
     capsys.readouterr()
@@ -386,12 +435,13 @@ def test_lambda_det_redraws_a_point_only_on_zero_division(monkeypatch):
         cli.check_lambda_det(2, 2, 0, cli.Budget(10 ** 6))
 
 
-def test_frac_str():
+def test_record_prints_ints_and_fractions():
     from fractions import Fraction
 
-    assert cli.frac_str(Fraction(-4, -6)) == "2/3"
-    assert cli.frac_str(Fraction(4, -6)) == "-2/3"
-    assert cli.frac_str(5) == "5"
+    assert cli.record("d", Fraction(-4, -6), 0)["lhs"] == "2/3"
+    assert cli.record("d", Fraction(4, -6), 0)["lhs"] == "-2/3"
+    assert cli.record("d", 5, 0)["lhs"] == "5"
+    assert cli.record("d", 6, Fraction(6))["match"] is True
 
 
 def test_smoke_every_verify_command(tmp_path):
