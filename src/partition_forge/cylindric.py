@@ -311,12 +311,8 @@ def borodin_lhs(pi, max_weight, base=None):
 
 def borodin_rhs(pi, max_weight):
     """Expand the hook-product side of the identity up to z^max_weight."""
-    keep = series.degree_cap(max_weight)
     diagonal, boxes = hook_vectors(pi, max_weight)
-    total = series.product(
-        [series.binomial_factor((sum(v),), -1, keep) for v in diagonal + boxes], 1, keep
-    )
-    return [series.coefficient(total, (d,)) for d in range(max_weight + 1)]
+    return series.z_coefficients([(sum(v), -1) for v in diagonal + boxes], max_weight)
 
 
 def hook_exponent_vector(pi, i, j, winding):
@@ -370,8 +366,7 @@ def borodin_refined_lhs(pi, max_weight):
 
 
 def borodin_refined_rhs(pi, max_weight):
-    keep = series.degree_cap(max_weight)
     diagonal, boxes = hook_vectors(pi, max_weight)
     return series.product(
-        [series.binomial_factor(v, -1, keep) for v in diagonal + boxes], len(pi), keep
+        [(v, -1) for v in diagonal + boxes], len(pi), series.degree_cap(max_weight)
     )

@@ -7,7 +7,6 @@ Omega[alphabet] is again such a factor product.
 """
 
 from functools import lru_cache
-from itertools import chain
 
 from . import series
 from .partitions import arm, conjugate, is_horizontal_strip, leg
@@ -49,10 +48,7 @@ def fp_set_q_zero(a):
 
 def fp_expand(a, keep):
     """Truncated series in (q, t)."""
-    total = series.one(2)
-    for (n, m), e in a.items():
-        total = series.mul(total, series.binomial_factor((n, m), e, keep), keep)
-    return total
+    return series.product(a.items(), 2, keep)
 
 
 def omega(alphabet):
@@ -141,20 +137,12 @@ def weight_alphabet_identity(pi, seq):
 
 def qbinomial_column(k, keep):
     """prod_{i=1..k} (1 - t q^(i-1)) / (1 - q^i), truncated in (q, t)."""
-    out = series.one(2)
-    for i in range(1, k + 1):
-        num = series.add(series.one(2), series.monomial((i - 1, 1), -1))
-        out = series.mul(out, num, keep)
-        out = series.mul(out, series.binomial_factor((i, 0), -1, keep), keep)
-    return out
+    return series.product(
+        (pair for i in range(1, k + 1) for pair in (((i - 1, 1), 1), ((i, 0), -1))), 2, keep
+    )
 
 
-def pochhammer_ratio(h, max_weight, qt_cap):
-    """(t z^h; q)_inf / (z^h; q)_inf as a series in (z, q, t)."""
-    return _pochhammer((h,), max_weight, qt_cap)
-
-
-def _pochhammer(vec, max_weight, qt_cap):
+def pochhammer_ratio(vec, max_weight, qt_cap):
     """(t z^vec; q)_inf / (z^vec; q)_inf in (z_1, ..., z_n, q, t), truncated
     at z-degree max_weight and (q, t)-degree qt_cap."""
     keep2 = series.degree_cap(qt_cap)
@@ -165,19 +153,22 @@ def _pochhammer(vec, max_weight, qt_cap):
     )
 
 
-def qt_borodin_rhs(pi, max_weight, qt_cap):
-    """Hook side of the Macdonald identity, truncated."""
+def _graded_hook_side(pi, max_weight, qt_cap, grade, keep):
+    """prod_diag 1/(1 - z^v) * prod_boxes (t z^v; q)_inf / (z^v; q)_inf over
+    the hook vectors v, each graded as z^grade(v), truncated by keep."""
     check_profile(pi)
     diagonal, boxes = hook_vectors(pi, max_weight)
+    nvars = len(grade(diagonal[0])) + 2
+    total = series.product([(grade(v) + (0, 0), -1) for v in diagonal], nvars, keep)
+    for v in boxes:
+        total = series.mul(total, pochhammer_ratio(grade(v), max_weight, qt_cap), keep)
+    return total
+
+
+def qt_borodin_rhs(pi, max_weight, qt_cap):
+    """Hook side of the Macdonald identity, truncated."""
     keep = lambda e: e[0] <= max_weight and e[1] + e[2] <= qt_cap
-    return series.product(
-        chain(
-            (series.binomial_factor((sum(v), 0, 0), -1, keep) for v in diagonal),
-            (pochhammer_ratio(sum(v), max_weight, qt_cap) for v in boxes),
-        ),
-        3,
-        keep,
-    )
+    return _graded_hook_side(pi, max_weight, qt_cap, lambda v: (sum(v),), keep)
 
 
 def _graded_weights(pi, max_weight, qt_cap, grade):
@@ -209,18 +200,6 @@ def qt_refined_lhs(pi, max_weight, qt_cap):
 
 
 def qt_refined_rhs(pi, max_weight, qt_cap):
-    check_profile(pi)
     T = len(pi)
-    diagonal, boxes = hook_vectors(pi, max_weight)
-
-    def keep(e):
-        return sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
-
-    return series.product(
-        chain(
-            (series.binomial_factor(v + (0, 0), -1, keep) for v in diagonal),
-            (_pochhammer(v, max_weight, qt_cap) for v in boxes),
-        ),
-        T + 2,
-        keep,
-    )
+    keep = lambda e: sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
+    return _graded_hook_side(pi, max_weight, qt_cap, lambda v: v, keep)

@@ -76,10 +76,18 @@ def binomial_factor(exps, power, keep):
 
 
 def product(factors, nvars, keep):
+    """prod (1 - x^exps)^power over the (exps, power) pairs, truncated by
+    keep and multiplied in the order given."""
     out = one(nvars)
-    for f in factors:
-        out = mul(out, f, keep)
+    for exps, power in factors:
+        out = mul(out, binomial_factor(exps, power, keep), keep)
     return out
+
+
+def z_coefficients(factors, max_weight):
+    """Coefficients of z^0..z^max_weight in prod (1 - z^h)^power over (h, power)."""
+    total = product((((h,), power) for h, power in factors), 1, degree_cap(max_weight))
+    return [total.get((w,), 0) for w in range(max_weight + 1)]
 
 
 def substitute(a, var, target_var):
@@ -92,8 +100,3 @@ def substitute(a, var, target_var):
         return tuple(e)
 
     return accumulate((fold(e), c) for e, c in a.items())
-
-
-def coefficient(a, exps):
-    return a.get(tuple(exps), 0)
-

@@ -44,12 +44,9 @@ def test_borodin_identity_stretch_bound():
 def test_qt_borodin_desk_scale():
     start = time.time()
     # per mixed profile of length <= 4 at weight 8 and (q,t)-degree 8: every
-    # (z, q, t) coefficient, then the t = q collapse against the CPP counts
+    # (z, q, t) coefficient, then the t = q collapse against the CPP counts,
+    # which fails if any q-term survives
     verified(["verify-qt-borodin"], 5260)
-    # at q = t only the constant (q, t) part survives
-    for pi in cli.mixed_profiles(4):
-        collapsed = qtseries.collapse_t_to_q(qtseries.qt_borodin_lhs(pi, 8, 8))
-        assert all(k[1] == 0 for k in collapsed), pi
     assert time.time() - start < 300
 
 

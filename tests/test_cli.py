@@ -14,6 +14,7 @@ from partition_forge import aztec
 from partition_forge import cli
 from partition_forge import cylindric
 from partition_forge import lambdadet
+from partition_forge import qtseries
 
 
 def run_cli(args, **kw):
@@ -71,6 +72,23 @@ def test_perturb_detected(tmp_path, capsys):
     assert rep["ok"] is False
     assert not rep["coefficients"][0]["match"]
     assert all(r["match"] for r in rep["coefficients"][1:])
+
+
+def test_qt_collapse_that_keeps_a_q_term_is_a_mismatch(tmp_path, monkeypatch, capsys):
+    collapse = qtseries.collapse_t_to_q
+
+    def keep_a_q_term(series3):
+        out = collapse(series3)
+        out[1, 1, 0] = out.get((1, 1, 0), 0) + 1
+        return out
+
+    monkeypatch.setattr(qtseries, "collapse_t_to_q", keep_a_q_term)
+    out = str(tmp_path / "r.json")
+    argv = ["verify-qt-borodin", "--profile", "10", "--max-weight", "2", "--qt-degree", "2"]
+    assert run_cli(argv + ["--out", out]) == 1
+    capsys.readouterr()
+    bad = [r for r in read_report(out)["coefficients"] if not r["match"]]
+    assert [(r["degree"], r["rhs"]) for r in bad] == [("10:collapse z^1", "1")]
 
 
 def test_instance_cap_exit_2(capsys):

@@ -233,7 +233,7 @@ def test_pochhammer_ratio_against_product():
         want = series.mul(want, series.binomial_factor((1, i, 0), -1, keep), keep)
     got = {
         k: c
-        for k, c in Q.pochhammer_ratio(1, cap, cap).items()
+        for k, c in Q.pochhammer_ratio((1,), cap, cap).items()
         if keep(k)
     }
     want = {k: c for k, c in want.items() if k[1] + k[2] <= cap}
@@ -255,7 +255,6 @@ def test_qt_collapse_matches_plain():
     counts = Y.borodin_lhs(pi, 4)
     for w in range(5):
         assert collapsed.get((w, 0, 0), 0) == counts[w]
-    assert all(k[1] == 0 or True for k in collapsed)
     # nothing but the constant term survives in q
     assert {k for k in collapsed if k[1] != 0} == set()
 
@@ -267,6 +266,15 @@ def test_qt_refined_small():
     lhs = {k: v for k, v in lhs.items()}
     rhs = {k: v for k, v in rhs.items() if sum(k[:2]) <= 3}
     assert lhs == rhs
+
+
+def test_qt_refined_rhs_at_equal_z_is_qt_borodin_rhs():
+    # setting every z_k = z in the refined hook side gives the unrefined one
+    for pi in ["10", "110", "1100"]:
+        T = len(pi)
+        refined = Q.qt_refined_rhs(pi, 5, 3)
+        at_z = series.accumulate(((sum(k[:T]),) + k[T:], c) for k, c in refined.items())
+        assert at_z == Q.qt_borodin_rhs(pi, 5, 3), pi
 
 
 def _classify_cubes_oracle(pi, paths):
