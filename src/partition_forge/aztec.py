@@ -28,7 +28,7 @@ def cell_in_region(n, x, y):
     )
 
 
-def cells(n):
+def diamond_cells(n):
     out = [
         (x, y)
         for x in range(-n - 1, n + 1)
@@ -118,7 +118,7 @@ def _moves(n):
     keeping the covered cells from it on as a bitmask (bit k is the cell k
     places later).
     """
-    order = sorted(cells(n), key=lambda c: (c[1], c[0]))
+    order = sorted(diamond_cells(n), key=lambda c: (c[1], c[0]))
     index = {c: i for i, c in enumerate(order)}
     return [
         [

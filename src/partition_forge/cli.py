@@ -152,8 +152,8 @@ def check_bijection(pi, max_weight, budget):
     budget.spend(sum(counts))
     seqs = cylindric.enumerate_cpps(pi, max_weight)
     good = 0
-    # per weight class: distinct image pairs, pairs on the ALCD side
-    by_weight, rhs_by_weight = {}, {}
+    # per weight class: distinct image pairs
+    by_weight = {}
     for seq in seqs:
         gamma, labels = cylindric.phi(pi, seq)
         w = cylindric.cpp_weight(seq)
@@ -164,8 +164,8 @@ def check_bijection(pi, max_weight, budget):
             good += 1
         by_weight.setdefault(w, set()).add((gamma, tuple(sorted(labels.items()))))
     out = [record("%s:round-trip" % pi, good, len(seqs))]
-    for _, _, w in alcd_pairs(pi, max_weight):
-        rhs_by_weight[w] = rhs_by_weight.get(w, 0) + 1
+    # per weight class: pairs on the ALCD side
+    rhs_by_weight = series.accumulate((w, 1) for _, _, w in alcd_pairs(pi, max_weight))
     for w, n_lhs in enumerate(counts):
         out.append(record("%s:class %d lhs" % (pi, w), len(by_weight.get(w, ())), n_lhs))
         out.append(record("%s:class %d rhs" % (pi, w), n_lhs, rhs_by_weight.get(w, 0)))
@@ -275,13 +275,13 @@ def ssyt_count(la, content):
     if sum(content) != sum(la):
         return 0
     counts = {(): 1}
-    for k, c in enumerate(content):
-        nxt = {}
-        for prev, mult in counts.items():
-            for mu in partitions.hstrips_up(prev, sum(prev) + c):
-                if sum(mu) == sum(prev) + c:
-                    nxt[mu] = nxt.get(mu, 0) + mult
-        counts = nxt
+    for c in content:
+        counts = series.accumulate(
+            (mu, mult)
+            for prev, mult in counts.items()
+            for mu in partitions.hstrips_up(prev, sum(prev) + c)
+            if sum(mu) == sum(prev) + c
+        )
     return counts.get(tuple(la), 0)
 
 
@@ -365,16 +365,16 @@ def check_lambda_det(max_n, points, seed, budget):
             v = rng.randint(-9, 9)
         return Fraction(v)
 
+    def grid(size):
+        return [[rnd() for _ in range(size)] for _ in range(size)]
+
     for n in range(2, max_n + 1):
         good = 0
         budget.spend(points)
         forms = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
         done = 0
         while done < points:
-            lam = [[rnd() for _ in range(n)] for _ in range(n)]
-            mu = [[rnd() for _ in range(n)] for _ in range(n)]
-            x = [[rnd() for _ in range(n)] for _ in range(n)]
-            y = [[rnd() for _ in range(n + 1)] for _ in range(n + 1)]
+            lam, mu, x, y = grid(n), grid(n), grid(n), grid(n + 1)
             try:
                 levels = lambdadet.pyramid(n, lam, mu, x, y)
             except ZeroDivisionError:
@@ -397,20 +397,11 @@ def check_lambda_det(max_n, points, seed, budget):
             )
         )
     for n in range(2, min(max_n, 3) + 1):
-        lam = [
-            [lambdadet.rat_var(("l", 0, 0))] * n for _ in range(n)
-        ]
-        mu = [[lambdadet.Rat(lambdadet.lp_const(1))] * n for _ in range(n)]
-        x = [
-            [lambdadet.rat_var(("x", i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        y = [[lambdadet.Rat(lambdadet.lp_const(1))] * (n + 1) for _ in range(n + 1)]
-        apex = lambdadet.pyramid(n, lam, mu, x, y)[n][0][0]
+        apex = lambdadet.symbolic_pyramid(n, lambdadet.one_parameter)[n][0][0]
         want = _robbins_rumsey_symbolic(n)
         out.append(record("one-parameter:n=%d" % n, int(apex == want), 1))
     for n in range(1, max_n + 1):
-        m = [[rnd() for _ in range(n)] for _ in range(n)]
+        m = grid(n)
         out.append(
             record(
                 "determinant:n=%d" % n,

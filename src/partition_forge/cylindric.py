@@ -358,11 +358,9 @@ def hook_vectors(pi, max_weight):
 
 def borodin_refined_lhs(pi, max_weight):
     """dict: refined weight vector -> count."""
-    out = {}
-    for seq in enumerate_cpps(pi, max_weight):
-        key = cpp_refined_weight(seq)
-        out[key] = out.get(key, 0) + 1
-    return out
+    return series.accumulate(
+        (cpp_refined_weight(seq), 1) for seq in enumerate_cpps(pi, max_weight)
+    )
 
 
 def borodin_refined_rhs(pi, max_weight):

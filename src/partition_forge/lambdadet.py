@@ -7,7 +7,8 @@ monomials indexed by pairs of interlacing sign matrices.
 
 Laurent polynomials are dicts mapping a sorted tuple of (variable, exponent)
 pairs to a nonzero coefficient (an int wherever the math is integral);
-variables are tuples like ("l", i, j).
+variables are tuples like ("l", i, j).  A specialization is a renaming of
+the variables (lp_rename), and the pyramid and the closed forms both take it.
 """
 
 from fractions import Fraction
@@ -25,24 +26,37 @@ def lp_const(c):
     return {(): c} if c else {}
 
 
+def _key(pairs):
+    """Monomial key of (variable, exponent) pairs; a repeated variable's
+    exponents add, and a zero exponent drops out."""
+    return tuple(sorted(series.accumulate(pairs).items()))
+
+
 def lp_monomial(exps, coeff=1):
     if not coeff:
         return {}
-    key = tuple(sorted((v, e) for v, e in exps.items() if e))
-    return {key: coeff}
+    return {_key(exps.items()): coeff}
 
 
 lp_add = series.add
 
 
 def lp_mul(a, b):
-    # a key is a sorted tuple of (variable, exponent) pairs; summing the
-    # exponents of the concatenated keys multiplies the monomials
+    # summing the exponents of the concatenated keys multiplies the monomials
     return series.accumulate(
-        (tuple(sorted(series.accumulate(ka + kb).items())), ca * cb)
-        for ka, ca in a.items()
-        for kb, cb in b.items()
+        (_key(ka + kb), ca * cb) for ka, ca in a.items() for kb, cb in b.items()
     )
+
+
+def lp_rename(a, rename):
+    """a with each variable v replaced by rename(v), or by 1 where that is None."""
+    return series.accumulate(
+        (_key((rename(v), e) for v, e in k if rename(v) is not None), c) for k, c in a.items()
+    )
+
+
+def _identity(v):
+    return v
 
 
 def lp_eval(a, point):
@@ -80,13 +94,6 @@ class Rat(object):
     def __eq__(self, other):
         return lp_mul(self.num, other.den) == lp_mul(other.num, self.den)
 
-    def __ne__(self, other):
-        return not self == other
-
-
-def rat_var(name):
-    return Rat(lp_monomial({name: 1}))
-
 
 # ---------------------------------------------------------------------------
 # the pyramid recurrence
@@ -120,12 +127,18 @@ def pyramid(n, lam, mu, x, y):
     return levels
 
 
-def symbolic_pyramid(n):
-    lam = [[rat_var(("l", i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    mu = [[rat_var(("m", i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    x = [[rat_var(("x", i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    y = [[rat_var(("y", i, j)) for j in range(1, n + 2)] for i in range(1, n + 2)]
-    return pyramid(n, lam, mu, x, y)
+def symbolic_pyramid(n, rename=_identity):
+    """The pyramid on the variables (c, i, j) of the grids c = "l", "m", "x"
+    and "y", each renamed as lp_rename does."""
+
+    def var(v):
+        return Rat(lp_rename(lp_monomial({v: 1}), rename))
+
+    def grid(name, size):
+        side = range(1, size + 1)
+        return [[var((name, i, j)) for j in side] for i in side]
+
+    return pyramid(n, grid("l", n), grid("m", n), grid("x", n), grid("y", n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +154,27 @@ def closed_form_terms(n, k):
         fb = A.f_weight_exponents(b)
         gb = A.g_weight_exponents(b)
         signs = sum(1 for row in b for v in row if v == -1)
+        top = []
+        for i in range(1, k + 1):
+            for j in range(1, k + 1):
+                top += [
+                    (("l", i, j), fb[i - 1][j - 1]),
+                    (("m", i, n + 1 - j), gb[i - 1][j - 1]),
+                    (("x", i, j), b[i - 1][j - 1]),
+                ]
         for bits in product((0, 1), repeat=signs):
             a = A.left_below_family(b, bits) if k > 1 else ()
             fa = A.f_weight_exponents(a)
             ga = A.g_weight_exponents(a)
-            exps = {}
-
-            def bump(v, e):
-                if e:
-                    exps[v] = exps.get(v, 0) + e
-
-            for i in range(1, k + 1):
-                for j in range(1, k + 1):
-                    bump(("l", i, j), fb[i - 1][j - 1])
-                    bump(("m", i, n + 1 - j), gb[i - 1][j - 1])
-                    bump(("x", i, j), b[i - 1][j - 1])
+            pairs = list(top)
             for i in range(1, k):
                 for j in range(1, k):
-                    bump(("l", i + 1, j + 1), -fa[i - 1][j - 1])
-                    bump(("m", i + 1, n + 1 - j), -ga[i - 1][j - 1])
-                    bump(("y", i + 1, j + 1), -a[i - 1][j - 1])
-            out.append(lp_monomial(exps))
+                    pairs += [
+                        (("l", i + 1, j + 1), -fa[i - 1][j - 1]),
+                        (("m", i + 1, n + 1 - j), -ga[i - 1][j - 1]),
+                        (("y", i + 1, j + 1), -a[i - 1][j - 1]),
+                    ]
+            out.append({_key(pairs): 1})
     return out
 
 
@@ -171,89 +184,68 @@ def closed_form_symbolic(n, k):
     )
 
 
+def _point(lam=(), mu=(), x=(), y=()):
+    """The value of each grid variable (c, i, j) at numeric grids."""
+    return {
+        (name, i, j): v
+        for name, grid in (("l", lam), ("m", mu), ("x", x), ("y", y))
+        for i, row in enumerate(grid, 1)
+        for j, v in enumerate(row, 1)
+    }
+
+
 def closed_form_value(form, lam, mu, x, y):
     """A closed form of closed_form_symbolic evaluated at a numeric point."""
-    n = len(x)
-    point = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            point[("l", i, j)] = lam[i - 1][j - 1]
-            point[("m", i, j)] = mu[i - 1][j - 1]
-            point[("x", i, j)] = x[i - 1][j - 1]
-    for i in range(1, n + 2):
-        for j in range(1, n + 2):
-            point[("y", i, j)] = y[i - 1][j - 1]
-    return lp_eval(form, point)
+    return lp_eval(form, _point(lam, mu, x, y))
 
 
-def corollary_symbolic(n):
+def corollary_symbolic(n, rename=_identity):
     """Apex with the base level set to all ones, as a sum over single sign
-    matrices with inversion and dual inversion exponents."""
-    total = lp_const(0)
+    matrices with inversion and dual inversion exponents.  Each sign matrix's
+    term and its (mu + lam) factors are renamed (see lp_rename) as they are
+    built, before they are multiplied out."""
+
+    def monomial(pairs):
+        return lp_rename({_key(pairs): 1}, rename)
+
+    terms = []
     for b in A.enumerate_asms(n):
-        exps = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if b[i - 1][j - 1]:
-                    exps[("x", i, j)] = b[i - 1][j - 1]
-        for i, j in A.inversions(b):
-            exps[("l", i, j)] = exps.get(("l", i, j), 0) + 1
-        for i, j in A.dual_inversions(b):
-            key = ("m", i, n + 1 - j)
-            exps[key] = exps.get(key, 0) + 1
-        term = lp_monomial(exps)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if b[i - 1][j - 1] == -1:
-                    term = lp_mul(
-                        term,
-                        lp_add(
-                            lp_monomial({("m", i, n + 1 - j): 1}),
-                            lp_monomial({("l", i, j): 1}),
-                        ),
-                    )
-        total = lp_add(total, term)
-    return total
+        entries = [(i, j, v) for i, row in enumerate(b, 1) for j, v in enumerate(row, 1) if v]
+        term = monomial(
+            [(("x", i, j), v) for i, j, v in entries]
+            + [(("l", i, j), 1) for i, j in A.inversions(b)]
+            + [(("m", i, n + 1 - j), 1) for i, j in A.dual_inversions(b)]
+        )
+        for i, j, v in entries:
+            if v == -1:
+                mu = monomial([(("m", i, n + 1 - j), 1)])
+                term = lp_mul(term, lp_add(mu, monomial([(("l", i, j), 1)])))
+        terms.append(term)
+    return series.accumulate(kv for term in terms for kv in term.items())
 
 
 def corollary_value(n, lam, mu, m):
-    point = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            point[("l", i, j)] = lam[i - 1][j - 1]
-            point[("m", i, j)] = mu[i - 1][j - 1]
-            point[("x", i, j)] = m[i - 1][j - 1]
-    return lp_eval(corollary_symbolic(n), point)
+    return lp_eval(corollary_symbolic(n), _point(lam, mu, m))
+
+
+def one_parameter(v):
+    """Robbins and Rumsey's specialization as a renaming: every lam entry
+    becomes ("l", 0, 0), mu and y become 1, and x is kept."""
+    if v[0] == "l":
+        return ("l", 0, 0)
+    return v if v[0] == "x" else None
 
 
 def robbins_rumsey_symbolic(n):
-    """One-parameter specialization (Robbins and Rumsey 1986): every lam entry
-    is ("l", 0, 0) and mu = y = 1, giving the sum over sign matrices of
-    lam^inversions (1 + lam)^(number of -1 entries) times the monomial."""
-    one_plus = lp_add(lp_const(1), lp_monomial({("l", 0, 0): 1}))
-    total = lp_const(0)
-    for b in A.enumerate_asms(n):
-        exps = {("x", i + 1, j + 1): v for i, row in enumerate(b) for j, v in enumerate(row)}
-        exps[("l", 0, 0)] = len(A.inversions(b))
-        term = lp_monomial(exps)
-        for _ in range(sum(1 for row in b for v in row if v == -1)):
-            term = lp_mul(term, one_plus)
-        total = lp_add(total, term)
-    return total
-
-
-def robbins_rumsey_value(n, lam, m):
-    """robbins_rumsey_symbolic(n) at the value lam and the matrix m."""
-    point = {("l", 0, 0): lam}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            point[("x", i, j)] = m[i - 1][j - 1]
-    return lp_eval(robbins_rumsey_symbolic(n), point)
+    """The corollary under one_parameter (Robbins and Rumsey 1986): the sum
+    over sign matrices of lam^inversions (1 + lam)^(number of -1 entries)
+    times the monomial."""
+    return corollary_symbolic(n, one_parameter)
 
 
 def lambda_determinant(n, m):
     """The specialization lam = -1, mu = 1 of the closed form."""
-    return robbins_rumsey_value(n, -1, m)
+    return lp_eval(robbins_rumsey_symbolic(n), {**_point(x=m), ("l", 0, 0): -1})
 
 
 def det_cofactor(m):

@@ -84,16 +84,6 @@ def partition_of_profile(p):
     return tuple(a for a in la if a > 0)
 
 
-def inversions(p):
-    """Pairs (i, j), i < j, with p[i] = '1' and p[j] = '0'; one per box."""
-    out = []
-    zs = [j for j, b in enumerate(p, 1) if b == "0"]
-    for i, b in enumerate(p, 1):
-        if b == "1":
-            out.extend((i, j) for j in zs if j > i)
-    return out
-
-
 def is_horizontal_strip(la, mu):
     """Whether la/mu is a horizontal strip (at most one box per column)."""
     if not contains(la, mu):

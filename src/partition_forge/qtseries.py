@@ -35,10 +35,7 @@ def fp_validate(a):
 
 def fp_is_one_at_q_equals_t(a):
     """Whether the product collapses to 1 after setting t = q."""
-    by_degree = {}
-    for (n, m), e in a.items():
-        by_degree[n + m] = by_degree.get(n + m, 0) + e
-    return all(v == 0 for v in by_degree.values())
+    return not series.accumulate((n + m, e) for (n, m), e in a.items())
 
 
 def fp_set_q_zero(a):

@@ -137,14 +137,6 @@ def test_lambda_determinant_desk_scale():
     # numeric for n = 2..4, symbolic and one-parameter for n = 2, 3,
     # determinant for n = 1..4
     verified(["verify-lambda-det", "--seed", "97"], 3 + 2 + 2 + 4)
-    n = 4
-    lam = [[lambdadet.rat_var(("l", 0, 0))] * n for _ in range(n)]
-    mu = [[lambdadet.Rat(lambdadet.lp_const(1))] * n for _ in range(n)]
-    x = [
-        [lambdadet.rat_var(("x", i, j)) for j in range(1, n + 1)]
-        for i in range(1, n + 1)
-    ]
-    y = [[lambdadet.Rat(lambdadet.lp_const(1))] * (n + 1) for _ in range(n + 1)]
-    apex = lambdadet.pyramid(n, lam, mu, x, y)[n][0][0]
-    assert apex == cli._robbins_rumsey_symbolic(n)
+    apex = lambdadet.symbolic_pyramid(4, lambdadet.one_parameter)[4][0][0]
+    assert apex == cli._robbins_rumsey_symbolic(4)
     assert time.time() - start < 120

@@ -31,8 +31,8 @@ def tilings5():
 
 def test_cell_counts():
     for n in range(1, 6):
-        assert len(Z.cells(n)) == 2 * n * (n + 1)
-    assert sorted(Z.cells(1)) == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+        assert len(Z.diamond_cells(n)) == 2 * n * (n + 1)
+    assert sorted(Z.diamond_cells(1)) == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
 
 
 def test_tiling_counts():

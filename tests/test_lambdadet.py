@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from partition_forge import lambdadet as D
-from partition_forge.lambdadet import Rat, lp_add, lp_const, lp_monomial, lp_mul, rat_var
+from partition_forge.lambdadet import (
+    Rat,
+    lp_add,
+    lp_const,
+    lp_eval,
+    lp_monomial,
+    lp_mul,
+    lp_rename,
+)
 
 
 def test_laurent_arithmetic():
@@ -14,6 +22,20 @@ def test_laurent_arithmetic():
     assert lp_add(a, lp_monomial({("l", 1, 1): 2}, -3)) == {}
     assert Rat(a) / Rat(a) == Rat(lp_const(1))
     assert Rat(a) + Rat(b) != Rat(a)
+
+
+def test_rename_merges_drops_and_cancels():
+    a, b, c = ("a", 1, 1), ("b", 1, 1), ("c", 1, 1)
+    poly = lp_add(
+        lp_monomial({a: 2, b: 3, c: 1}, 5),
+        lp_add(lp_monomial({a: 1, c: 4}), lp_monomial({b: 1}, -1)),
+    )
+    # b becomes a and c becomes 1: 5 a^2 b^3 c becomes 5 a^5, and a c^4
+    # cancels -b
+    merged = {a: a, b: a}
+    assert lp_rename(poly, merged.get) == lp_monomial({a: 5}, 5)
+    assert lp_rename(poly, lambda v: v) == poly
+    assert lp_rename(lp_monomial({c: 3}, 7), merged.get) == lp_const(7)
 
 
 def test_base_case_two_terms():
@@ -77,23 +99,19 @@ def test_closed_form_matches_recurrence_numerically():
             ok += 1
 
 
+def unit_base(v):
+    return None if v[0] == "y" else v
+
+
 def test_corollary_with_unit_base():
     for n in (2, 3):
-        lam = [
-            [rat_var(("l", i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        mu = [
-            [rat_var(("m", i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        x = [
-            [rat_var(("x", i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        y = [[Rat(lp_const(1))] * (n + 1) for _ in range(n + 1)]
-        apex = D.pyramid(n, lam, mu, x, y)[n][0][0]
+        apex = D.symbolic_pyramid(n, unit_base)[n][0][0]
         assert apex == Rat(D.corollary_symbolic(n))
+
+
+def test_corollary_is_the_closed_form_at_unit_base():
+    for n in (1, 2, 3, 4):
+        assert lp_rename(D.closed_form_symbolic(n, n), unit_base) == D.corollary_symbolic(n)
 
 
 def test_one_parameter_specialization():
@@ -105,7 +123,9 @@ def test_one_parameter_specialization():
         mu = [[Fraction(1)] * n for _ in range(n)]
         y = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]
         apex = D.pyramid(n, lam, mu, m, y)[n][0][0]
-        assert apex == D.robbins_rumsey_value(n, lv, m)
+        point = {("x", i, j): v for i, row in enumerate(m, 1) for j, v in enumerate(row, 1)}
+        point[("l", 0, 0)] = lv
+        assert apex == lp_eval(D.robbins_rumsey_symbolic(n), point)
         assert apex == D.corollary_value(n, lam, mu, m)
 
 

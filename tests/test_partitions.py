@@ -19,13 +19,9 @@ def test_framed_profile_example():
 
 def test_profile_arm_leg_example():
     p = P.minimal_profile((5, 3, 3, 2))
-    assert (2, 6) in P.inversions(p)
-    # its box has one '1' (arm) and two '0's (leg) strictly between 2 and 6
+    # the box of the '1' at position 2 and the '0' at position 6 has one '1'
+    # (arm) and two '0's (leg) strictly between them
     assert (p[2:5].count("1"), p[2:5].count("0")) == (1, 2)
-
-
-def test_inversion_count_example():
-    assert len(P.inversions(P.minimal_profile((5, 3, 3, 2)))) == 13
 
 
 def test_partition_of_profile_examples():
@@ -60,20 +56,7 @@ def test_conjugate_involution(la):
 
 
 @given(parts())
-def test_inversions_are_boxes(la):
-    p = P.minimal_profile(la)
-    inv = P.inversions(p)
-    assert len(inv) == sum(la)
-    got = sorted((p[i : j - 1].count("1"), p[i : j - 1].count("0")) for i, j in inv)
-    want = sorted((P.arm(la, s), P.leg(la, s)) for s in P.cells(la))
-    assert got == want
-
-
-@given(parts())
 def test_hook_is_arm_plus_leg(la):
-    p = P.minimal_profile(la)
-    for i, j in P.inversions(p):
-        assert j - i == p[i : j - 1].count("1") + p[i : j - 1].count("0") + 1
     for s in P.cells(la):
         assert P.hook(la, s) == P.arm(la, s) + P.leg(la, s) + 1
 

@@ -4,7 +4,9 @@ Every top-level function under src/ must be referenced from src/ or bench/
 outside its own body (a string constant under bench/ counts, as the tracer
 names the functions it wraps that way), unless TEST_ONLY lists it with the
 reason it stays.  An entry that is referenced again, or whose function is
-gone, fails too, so the list can only shrink.
+gone, fails too, so the list can only shrink.  References are matched by bare
+name, so no two modules may define a top-level function of the same name: a
+call of one would count as reaching the other.
 """
 
 import ast
@@ -44,11 +46,16 @@ def names_in(node):
             yield sub.name
 
 
+def modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text()).body
+
+
 def scan():
     """Top-level functions under src/ and the names referenced outside them."""
     defined, referenced = set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for _, body in modules():
+        for node in body:
             if isinstance(node, ast.FunctionDef):
                 defined.add(node.name)
                 # a call from its own body does not reach a function
@@ -69,6 +76,15 @@ def test_every_function_is_reached_or_listed():
     assert "enumerate_cpps" in defined and "enumerate_cpps" in referenced
     unreached = defined - referenced
     assert unreached - set(TEST_ONLY) == set()
+
+
+def test_no_two_modules_define_one_function_name():
+    where = {}
+    for module, body in modules():
+        for node in body:
+            if isinstance(node, ast.FunctionDef):
+                where.setdefault(node.name, []).append(module)
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
 
 
 def test_test_only_list_can_only_shrink():
