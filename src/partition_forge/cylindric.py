@@ -276,10 +276,26 @@ def borodin_lhs(pi, max_weight, base=None):
     is a transfer-matrix sum: for each base, walks that reach the same state
     (mu^k, weight so far) are added up, and those that step back onto mu^0 are
     counted.  No CPP is built; the weight budget prunes as in enumerate_cpps.
+
+    Without a base the walk is cut at a valley: the weight |mu^1| + ... +
+    |mu^T| is a cyclic sum, so (mu^0, ..., mu^T) over pi and (mu^1, ...,
+    mu^T, mu^1) over rotate_profile(pi) weigh the same, and the count is run
+    over the rotation that starts with '1' and ends with '0'.  There mu^1 and
+    mu^(T-1) both contain mu^0 = mu^T, so every CPP weighs at least
+    3|mu^0| (2|mu^0| when T = 2) and heavier bases are skipped.  A given base
+    pins mu^0 in the caller's orientation and is never rotated; a pure
+    profile has no valley and runs over every base.
     """
     check_profile(pi)
     counts = [0] * (max_weight + 1)
-    bases = partitions_upto(max_weight) if base is None else [tuple(base)]
+    valley = (pi + pi[0]).find("01")
+    if base is not None:
+        bases = [tuple(base)]
+    elif valley < 0:
+        bases = partitions_upto(max_weight)
+    else:
+        pi = pi[valley + 1 :] + pi[: valley + 1]
+        bases = partitions_upto(max_weight // min(len(pi), 3))
     for mu0 in bases:
         if sum(mu0) > max_weight:
             continue

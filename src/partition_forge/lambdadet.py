@@ -60,10 +60,13 @@ def _identity(v):
 
 
 def lp_eval(a, point):
+    powers = {}  # (variable, exponent) -> its value at point, once per call
     total = Fraction(0)
     for k, c in a.items():
-        for v, e in k:
-            c = c * Fraction(point[v]) ** e
+        for ve in k:
+            if ve not in powers:
+                powers[ve] = Fraction(point[ve[0]]) ** ve[1]
+            c = c * powers[ve]
         total += c
     return total
 

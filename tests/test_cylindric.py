@@ -2,7 +2,6 @@ from itertools import islice, product
 
 import pytest
 
-from partition_forge import cli
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
 
@@ -58,13 +57,39 @@ def _listed_counts(pi, max_weight, base=None):
 
 
 def test_transfer_matrix_counts_match_listing():
-    # the transfer-matrix count against the tally of the listed CPPs
-    for pi in cli.sweep(None, 5):
-        assert Y.borodin_lhs(pi, 8) == _listed_counts(pi, 8), pi
+    # the transfer-matrix count against the tally of the listed CPPs, on every
+    # profile up to length 6: pure ones, and mixed ones the count is cut open
+    # at a valley of, whichever letter they start with
+    for t in range(1, 7):
+        for bits in product("01", repeat=t):
+            pi = "".join(bits)
+            assert Y.borodin_lhs(pi, 10) == _listed_counts(pi, 10), pi
     # the shapes verify-stanley checks; the empty one has no profile
     for shape in P.partitions_upto(5)[1:]:
         pi = P.minimal_profile(shape)
         assert Y.borodin_lhs(pi, 8, ()) == _listed_counts(pi, 8, ()), shape
+    # a given base pins mu^0 in the caller's orientation, also on a profile
+    # that starts with '0'
+    for pi in ("0110", "01010", "0011"):
+        for base in ((), (1,), (2, 1)):
+            assert Y.borodin_lhs(pi, 12, base) == _listed_counts(pi, 12, base), (pi, base)
+
+
+def test_counts_do_not_depend_on_where_the_cycle_starts():
+    for pi in ("10100", "01010", "110100", "0011", "111000"):
+        want = Y.borodin_lhs(pi, 12)
+        for k in range(1, len(pi)):
+            assert Y.borodin_lhs(pi[k:] + pi[:k], 12) == want, (pi, k)
+
+
+def test_cut_skips_the_heavy_bases():
+    # cut at a valley, only the bases of weight <= 20 // 3 start a walk (283
+    # entries); a walk from every base of weight <= 20 on the uncut profile,
+    # which starts with a step down, fills 2,714
+    P.hstrips_down.cache_clear()
+    P.hstrips_up.cache_clear()
+    Y.borodin_lhs("01010", 20)
+    assert P.hstrips_down.cache_info().currsize <= 300
 
 
 def test_borodin_identity_small():
