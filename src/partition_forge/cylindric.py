@@ -282,20 +282,19 @@ def borodin_lhs(pi, max_weight, base=None):
     mu^T, mu^1) over rotate_profile(pi) weigh the same, and the count is run
     over the rotation that starts with '1' and ends with '0'.  There mu^1 and
     mu^(T-1) both contain mu^0 = mu^T, so every CPP weighs at least
-    3|mu^0| (2|mu^0| when T = 2) and heavier bases are skipped.  A given base
-    pins mu^0 in the caller's orientation and is never rotated; a pure
-    profile has no valley and runs over every base.
+    min(T, 3)|mu^0| and heavier bases are skipped.  A pure profile has no
+    valley and is left as it is, but all its mu^k are equal and it weighs
+    T|mu^0|, so the same bound holds.  A given base pins mu^0 in the caller's
+    orientation and is never rotated.
     """
     check_profile(pi)
     counts = [0] * (max_weight + 1)
-    valley = (pi + pi[0]).find("01")
-    if base is not None:
-        bases = [tuple(base)]
-    elif valley < 0:
-        bases = partitions_upto(max_weight)
-    else:
-        pi = pi[valley + 1 :] + pi[: valley + 1]
+    if base is None:
+        cut = (pi + pi[0]).find("01") + 1
+        pi = pi[cut:] + pi[:cut]
         bases = partitions_upto(max_weight // min(len(pi), 3))
+    else:
+        bases = [tuple(base)]
     for mu0 in bases:
         if sum(mu0) > max_weight:
             continue
