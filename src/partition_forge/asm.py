@@ -9,6 +9,8 @@ left-hand twin conjugated by reverse_columns.
 from itertools import accumulate, combinations
 from math import factorial
 
+from . import series
+
 
 def validate_asm(m):
     n = len(m)
@@ -75,12 +77,12 @@ def x_enumeration(n, x):
     """
     weights = {(): 1}
     for _ in range(n):
-        nxt = {}
-        for prev, w in weights.items():
-            for cur in _interlacing_rows(prev, n):
-                nxt[cur] = nxt.get(cur, 0) + w * x ** len(set(prev) - set(cur))
-        weights = nxt
-    return weights[tuple(range(1, n + 1))]
+        weights = series.accumulate(
+            (cur, w * x ** len(set(prev) - set(cur)))
+            for prev, w in weights.items()
+            for cur in _interlacing_rows(prev, n)
+        )
+    return weights.get(tuple(range(1, n + 1)), 0)
 
 
 def is_inversion(m, i, j):

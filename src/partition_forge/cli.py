@@ -676,7 +676,9 @@ def _run(args, budget):
         chunks = [fn() for _, fn in build_tasks(args, budget)]
     except (CapExceeded, AssertionError) as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
+        # resolve() has turned every bad input into exit 2 before any work,
+        # so a failed check past it is a broken invariant: a fault, exit 1
+        return 2 if isinstance(e, CapExceeded) else 1
     records = [r for chunk in chunks for r in chunk]
     if not records:
         usage_error("nothing to compare at these bounds")

@@ -157,52 +157,41 @@ def rsk_down(alpha, beta, la):
 
 
 def burge_down(alpha, beta, la):
-    """Column deletion: la covers both alpha and beta by horizontal strips.
+    """Column deletion, inverse to burge_up: the same carry scan, run from
+    the right, with each box it places removed instead.
 
-    Returns (m, mu) with mu below alpha and beta and m the number of removed
-    columns that fell off the left edge.
+    Returns (m, mu) with mu below alpha and beta and m the boxes carried past
+    the first column.
     """
-    lc, ac, bc = list(conjugate(la)), conjugate(alpha), conjugate(beta)
-    ac = ac + (0,) * (len(lc) - len(ac))
-    bc = bc + (0,) * (len(lc) - len(bc))
-    abar = {i for i in range(1, len(lc) + 1) if lc[i - 1] > ac[i - 1]}
-    bbar = {i for i in range(1, len(lc) + 1) if lc[i - 1] > bc[i - 1]}
-    taken = set()
-    m = 0
-    for i in sorted(abar & bbar, reverse=True):
-        d = i - 1
-        while d > 0 and (d in abar or d in bbar or d in taken):
-            d -= 1
-        if d > 0:
-            taken.add(d)
+    columns = zip_longest(conjugate(alpha), conjugate(beta), conjugate(la), fillvalue=0)
+    mu_c, c = [], 0
+    for a, b, x in reversed(list(columns)):
+        if x > a or x > b:
+            mu_c.append(x - 1)
+            c += x > a and x > b
+        elif c:
+            mu_c.append(x - 1)
+            c -= 1
         else:
-            m += 1
-    removal = abar | bbar | taken
-    mu_c = [lc[i - 1] - (1 if i in removal else 0) for i in range(1, len(lc) + 1)]
-    mu = conjugate(tuple(a for a in mu_c if a > 0))
-    return m, mu
+            mu_c.append(x)
+    return c, conjugate(tuple(reversed(mu_c)))
 
 
 def burge_up(alpha, beta, m, mu):
-    """Column insertion, inverse to burge_down."""
-    mc = list(conjugate(mu))
-    ac, bc = conjugate(alpha), conjugate(beta)
-    size = max(len(mc), len(ac), len(bc)) + m + len(ac) + len(bc) + 1
-    mc = mc + [0] * (size - len(mc))
-    acp = tuple(ac) + (0,) * (size - len(ac))
-    bcp = tuple(bc) + (0,) * (size - len(bc))
-    aset = {i for i in range(1, size + 1) if acp[i - 1] > mc[i - 1]}
-    bset = {i for i in range(1, size + 1) if bcp[i - 1] > mc[i - 1]}
-    taken = set()
-    for i in sorted(aset & bset):
-        e = i + 1
-        while e in aset or e in bset or e in taken:
-            e += 1
-        if e > size:
-            raise AssertionError("no free column for %r" % ((alpha, beta, m, mu),))
-        taken.add(e)
-    free = [i for i in range(1, size + 1) if i not in aset | bset | taken]
-    dset = set(free[:m])
-    growth = aset | bset | taken | dset
-    lc = [mc[i - 1] + (1 if i in growth else 0) for i in range(1, size + 1)]
-    return conjugate(tuple(a for a in lc if a > 0))
+    """Column insertion, inverse to burge_down: a carry scan along the
+    columns, the mirror of rsk_up's carry down the rows.  A column where
+    alpha or beta exceeds mu gains a box, and hands one more to the carry if
+    both do; the carry starts with the m new boxes, and a column that gains
+    nothing by itself takes one box from it, if it holds any.  Boxes still in
+    the carry after the last column each start a new column of height 1."""
+    la_c, c = [], m
+    for a, b, u in zip_longest(conjugate(alpha), conjugate(beta), conjugate(mu), fillvalue=0):
+        if a > u or b > u:
+            la_c.append(u + 1)
+            c += a > u and b > u
+        elif c:
+            la_c.append(u + 1)
+            c -= 1
+        else:
+            la_c.append(u)
+    return conjugate(tuple(la_c + [1] * c))

@@ -11,6 +11,7 @@ and their arguments must be hashable (partitions as tuples).
 """
 
 from functools import lru_cache
+from itertools import product, zip_longest
 
 
 def check_partition(la):
@@ -21,17 +22,10 @@ def check_partition(la):
 
 
 def conjugate(la):
-    """Transpose the diagram."""
+    """Transpose the diagram; zero parts count for nothing."""
     if not la:
         return ()
     return tuple(sum(1 for a in la if a >= j) for j in range(1, la[0] + 1))
-
-
-def contains(la, mu):
-    """Whether the diagram of la contains the diagram of mu."""
-    if len(mu) > len(la):
-        return False
-    return all(a >= b for a, b in zip(la, mu))
 
 
 def cells(la):
@@ -85,29 +79,19 @@ def partition_of_profile(p):
 
 
 def is_horizontal_strip(la, mu):
-    """Whether la/mu is a horizontal strip (at most one box per column)."""
-    if not contains(la, mu):
-        return False
-    mu = tuple(mu) + (0,) * (len(la) - len(mu))
-    return all(la[i + 1] <= mu[i] for i in range(len(la) - 1))
+    """Whether la/mu is a horizontal strip (at most one box per column): mu
+    interlaces la, la_{i+1} <= mu_i <= la_i for every i."""
+    return all(
+        lo <= m <= hi for hi, m, lo in zip_longest(la, mu, la[1:], fillvalue=0)
+    )
 
 
 @lru_cache(maxsize=None)
 def hstrips_down(la):
-    """All mu with la/mu a horizontal strip."""
-    out = []
-
-    def rec(i, acc):
-        if i == len(la):
-            out.append(tuple(a for a in acc if a > 0))
-            return
-        lo = la[i + 1] if i + 1 < len(la) else 0
-        hi = min(la[i], acc[-1]) if acc else la[i]
-        for v in range(lo, hi + 1):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return tuple(out)
+    """All mu with la/mu a horizontal strip: mu_i ranges over [la_{i+1},
+    la_i] independently of the other rows."""
+    rows = product(*(range(lo, hi + 1) for hi, lo in zip(la, la[1:] + (0,))))
+    return tuple(tuple(a for a in mu if a > 0) for mu in rows)
 
 
 @lru_cache(maxsize=None)
@@ -119,25 +103,16 @@ def hstrips_up(mu, max_size):
     budget = max_size - sum(mu)
     if budget < 0:
         raise AssertionError("cap %d below |%r|" % (max_size, mu))
-    out = []
-    rows = len(mu) + 1
-
-    def rec(i, acc, used):
-        if i == rows:
-            out.append(tuple(a for a in acc if a > 0))
-            return
-        cur = mu[i] if i < len(mu) else 0
-        above = mu[i - 1] if i >= 1 else None
-        hi = cur + (budget - used)
-        if above is not None:
-            hi = min(hi, above)
-        if i >= 1 and acc[i - 1] < cur:
-            return
-        for v in range(cur, hi + 1):
-            rec(i + 1, acc + [v], used + v - cur)
-
-    rec(0, [], 0)
-    return tuple(out)
+    # la_i ranges over [mu_i, mu_{i-1}] (la_1 over [mu_1, max_size]), with
+    # at most budget boxes added over all rows: (rows so far, boxes left)
+    strips = [((), budget)]
+    for cur, top in zip(mu + (0,), (max_size,) + mu):
+        strips = [
+            (la + (v,), left - (v - cur))
+            for la, left in strips
+            for v in range(cur, min(top, cur + left) + 1)
+        ]
+    return tuple(tuple(a for a in la if a > 0) for la, _ in strips)
 
 
 def partitions_of(n, max_part=None):

@@ -453,6 +453,19 @@ def test_lambda_det_redraws_a_point_only_on_zero_division(monkeypatch):
         cli.check_lambda_det(2, 2, 0, cli.Budget(10 ** 6))
 
 
+def test_a_broken_check_exits_1_not_2(monkeypatch, capsys):
+    # bad input is refused by resolve() before any work, so an AssertionError
+    # raised while a check runs is a fault in the check, not a usage error
+    def broken(*args):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cylindric, "borodin_lhs", broken)
+    assert cli.main(["verify-borodin", "--profile", "10", "--max-weight", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_record_prints_ints_and_fractions():
     from fractions import Fraction
 

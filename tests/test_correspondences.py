@@ -91,51 +91,71 @@ def test_burge_example():
     assert C.burge_inverse(t, tp) == MATRIX
 
 
-def schensted_rsk(matrix):
-    """Classical RSK: row-insert the bottom line of the two-line array.
+def two_line_insertion(matrix, column):
+    """Textbook insertion of the bottom line of the two-line array.
 
-    The pairs (i, j), one per unit of matrix[i - 1][j - 1], are read in
-    lexicographic order; j is inserted and i recorded.  Returns the
+    The pairs (i, j), one per unit of matrix[i - 1][j - 1], are read with i
+    ascending; j is inserted and i recorded in the new box.  Row insertion
+    (RSK) reads j ascending within one i, and x bumps the smallest entry > x
+    of a row.  Column insertion (Burge; Fulton, Young Tableaux, Appendix A)
+    reads j descending within one i, and x bumps the smallest entry >= x of a
+    column.  The bumped entry moves on to the next row (column).  Returns the
     (recording, insertion) chains, whose contents are the row and column sums.
     """
-    rows, recording = [], []
-    for i, line in enumerate(matrix, 1):
-        for j, mult in enumerate(line, 1):
-            for _ in range(mult):
+    lines, recording = [], []
+    for i, row in enumerate(matrix, 1):
+        letters = range(len(row), 0, -1) if column else range(1, len(row) + 1)
+        for j in letters:
+            for _ in range(row[j - 1]):
                 x, r = j, 0
                 while True:
-                    if r == len(rows):
-                        rows.append([x])
+                    if r == len(lines):
+                        lines.append([x])
                         recording.append([i])
                         break
-                    row = rows[r]
-                    k = next((k for k, y in enumerate(row) if y > x), None)
+                    line = lines[r]
+                    k = next(
+                        (k for k, y in enumerate(line) if y > x or (column and y == x)),
+                        None,
+                    )
                     if k is None:
-                        row.append(x)
+                        line.append(x)
                         recording[r].append(i)
                         break
-                    row[k], x = x, row[k]
+                    line[k], x = x, line[k]
                     r += 1
 
     def chain(tableau, letters):
-        return tuple(
-            tuple(n for n in (sum(1 for y in row if y <= k) for row in tableau) if n)
+        shapes = (
+            tuple(n for n in (sum(1 for y in line if y <= k) for line in tableau) if n)
             for k in range(letters + 1)
         )
+        return tuple(map(P.conjugate, shapes) if column else shapes)
 
-    return chain(recording, len(matrix)), chain(rows, len(matrix[0]))
+    return chain(recording, len(matrix)), chain(lines, len(matrix[0]))
 
 
-def test_rsk_matches_schensted_insertion():
+def small_matrices():
+    """Every nonzero matrix up to 3 x 3 with entries <= 2."""
     for r in (1, 2, 3):
         for c in (1, 2, 3):
             for flat in product(range(3), repeat=r * c):
                 if any(flat):
-                    m = [list(flat[i * c:(i + 1) * c]) for i in range(r)]
-                    assert C.rsk(m) == schensted_rsk(m)
+                    yield [list(flat[i * c:(i + 1) * c]) for i in range(r)]
+
+
+def test_rsk_matches_schensted_insertion():
+    for m in small_matrices():
+        assert C.rsk(m) == two_line_insertion(m, column=False)
     for n in range(1, 7):
         for perm in permutations(range(1, n + 1)):
-            assert C.robinson(perm) == schensted_rsk(C.permutation_matrix(perm))
+            m = C.permutation_matrix(perm)
+            assert C.robinson(perm) == two_line_insertion(m, column=False)
+
+
+def test_burge_matches_column_insertion():
+    for m in small_matrices():
+        assert C.burge(m) == two_line_insertion(m, column=True)
 
 
 @settings(deadline=None)

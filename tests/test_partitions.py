@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 from hypothesis import given, strategies as st
 
 from partition_forge import partitions as P
@@ -91,3 +93,27 @@ def test_hstrips_up(mu, extra):
         if P.is_horizontal_strip(la, mu):
             assert la in ups
 
+
+
+def strip_by_columns(la, mu):
+    """la/mu is a horizontal strip by its definition: mu inside la, and no
+    column of la longer than the same column of mu by more than one box."""
+    if len(mu) > len(la) or any(a < b for a, b in zip(la, mu)):
+        return False
+    columns = zip_longest(P.conjugate(la), P.conjugate(mu), fillvalue=0)
+    return all(a - b <= 1 for a, b in columns)
+
+
+def test_strips_match_the_column_definition():
+    # content and order of both strip tables, and the predicate on lists too
+    small = P.partitions_upto(8)
+    for la in small:
+        for mu in small:
+            want = strip_by_columns(la, mu)
+            assert P.is_horizontal_strip(la, mu) == want, (la, mu)
+            assert P.is_horizontal_strip(list(la), list(mu)) == want, (la, mu)
+        downs = [mu for mu in P.partitions_upto(sum(la)) if strip_by_columns(la, mu)]
+        assert list(P.hstrips_down(la)) == sorted(downs), la
+        for cap in range(sum(la), sum(la) + 5):
+            ups = [nu for nu in P.partitions_upto(cap) if strip_by_columns(nu, la)]
+            assert list(P.hstrips_up(la, cap)) == sorted(ups), (la, cap)
