@@ -101,9 +101,8 @@ def check_qt_borodin(pi, max_weight, qt_degree, budget):
 
 def check_weight_simplification(pi, max_weight, budget):
     budget.spend(sum(cylindric.borodin_lhs(pi, max_weight)))
-    seqs = cylindric.enumerate_cpps(pi, max_weight)
-    label = "%s:weight<=%d" % (pi, max_weight)
-    return [tally(label, seqs, lambda seq: qtseries.weight_alphabet_identity(pi, seq))]
+    holds, total = qtseries.weight_simplification(pi, max_weight)
+    return [record("%s:weight<=%d" % (pi, max_weight), holds, total)]
 
 
 def check_stanley(shape, max_weight, budget):

@@ -11,6 +11,8 @@ where i indexes a '1' of pi, j a '0', w is the winding number and the hook of
 the box is j - i + w*T.
 """
 
+from functools import lru_cache
+
 from . import series
 from .partitions import (
     hstrips_down,
@@ -30,6 +32,15 @@ def check_profile(pi):
 def rotate_profile(pi):
     """sigma(pi)[i] = pi[i+1], cyclically."""
     return pi[1:] + pi[0]
+
+
+def necklace(pi):
+    """The greatest rotation of pi, one name for its rotation class.
+
+    On a mixed profile it starts with '1' and ends with '0': a '1' at the
+    end would make the rotation one place back greater.
+    """
+    return max(pi[k:] + pi[:k] for k in range(len(pi)))
 
 
 def check_closed(pi, seq):
@@ -277,24 +288,42 @@ def borodin_lhs(pi, max_weight, base=None):
     (mu^k, weight so far) are added up, and those that step back onto mu^0 are
     counted.  No CPP is built; the weight budget prunes as in enumerate_cpps.
 
-    Without a base the walk is cut at a valley: the weight |mu^1| + ... +
-    |mu^T| is a cyclic sum, so (mu^0, ..., mu^T) over pi and (mu^1, ...,
-    mu^T, mu^1) over rotate_profile(pi) weigh the same, and the count is run
-    over the rotation that starts with '1' and ends with '0'.  There mu^1 and
-    mu^(T-1) both contain mu^0 = mu^T, so every CPP weighs at least
-    min(T, 3)|mu^0| and heavier bases are skipped.  A pure profile has no
-    valley and is left as it is, but all its mu^k are equal and it weighs
-    T|mu^0|, so the same bound holds.  A given base pins mu^0 in the caller's
-    orientation and is never rotated.
+    Without a base the count depends on pi only up to rotation: the weight
+    |mu^1| + ... + |mu^T| is a cyclic sum, so (mu^0, ..., mu^T) over pi and
+    (mu^1, ..., mu^T, mu^1) over rotate_profile(pi) weigh the same.  It is
+    taken once per necklace(pi) and max_weight (see _necklace_count).  A
+    given base pins mu^0 in the caller's orientation, so that count is never
+    rotated and never cached.  Each call returns a fresh list.
     """
     check_profile(pi)
-    counts = [0] * (max_weight + 1)
     if base is None:
-        cut = (pi + pi[0]).find("01") + 1
-        pi = pi[cut:] + pi[:cut]
-        bases = partitions_upto(max_weight // min(len(pi), 3))
-    else:
-        bases = [tuple(base)]
+        return list(_necklace_count(necklace(pi), max_weight))
+    return _closed_walks(pi, max_weight, [tuple(base)])
+
+
+@lru_cache(maxsize=None)
+def _necklace_count(neck, max_weight):
+    """borodin_lhs(neck, max_weight) for a greatest rotation neck, as a tuple
+    cached for the process.
+
+    The walk is cut at the valley after neck's first "01", or at the end of
+    neck when there is none inside it (a mixed neck ends with '0' and starts
+    with '1').  There mu^1 and mu^(T-1) both contain mu^0 = mu^T, so every
+    CPP weighs at least min(T, 3)|mu^0| and heavier bases are skipped.  A
+    pure profile has no valley and is left as it is, but all its mu^k are
+    equal and it weighs T|mu^0|, so the same bound holds.  Every valley cut
+    gives the same count, but not at the same cost: 10100 at weight 26 walks
+    about a fifth faster cut as 10010 than as itself.
+    """
+    cut = neck.find("01") + 1
+    bases = partitions_upto(max_weight // min(len(neck), 3))
+    return tuple(_closed_walks(neck[cut:] + neck[:cut], max_weight, bases))
+
+
+def _closed_walks(pi, max_weight, bases):
+    """Closed walks of horizontal strips over pi from each of the bases, by
+    weight up to max_weight."""
+    counts = [0] * (max_weight + 1)
     for mu0 in bases:
         if sum(mu0) > max_weight:
             continue

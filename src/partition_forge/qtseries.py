@@ -17,6 +17,7 @@ from .cylindric import (
     cpp_weight,
     enumerate_cpps,
     hook_vectors,
+    necklace,
     step_strip,
 )
 from .paths import dc_alphabet
@@ -126,6 +127,26 @@ def weight_alphabet_identity(pi, seq):
     lhs = weight_function(pi, seq)
     rhs = omega(alphabet_q_minus_t(dc_alphabet(pi, seq)))
     return lhs == rhs
+
+
+def weight_simplification(pi, max_weight):
+    """(holds, total): how many CPPs over pi of weight at most max_weight
+    satisfy weight_alphabet_identity, and how many there are.
+
+    Both sides are cyclic sums of per-step tables (_pieri_step, and
+    paths._layer_alphabet), so rotating pi together with each CPP, as
+    (mu^0, ..., mu^T) -> (mu^1, ..., mu^T, mu^1), changes neither; the pair
+    is taken once per necklace(pi) and max_weight (see _necklace_tally).
+    """
+    return _necklace_tally(necklace(pi), max_weight)
+
+
+@lru_cache(maxsize=None)
+def _necklace_tally(neck, max_weight):
+    """weight_simplification over the greatest rotation neck, cached for the
+    process."""
+    seqs = enumerate_cpps(neck, max_weight)
+    return sum(1 for seq in seqs if weight_alphabet_identity(neck, seq)), len(seqs)
 
 
 # ---------------------------------------------------------------------------

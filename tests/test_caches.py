@@ -16,6 +16,8 @@ CACHES = (
     P.partitions_upto,
     Q._pieri_step,
     L._layer_alphabet,
+    Y._necklace_count,
+    Q._necklace_tally,
 )
 
 
@@ -81,6 +83,33 @@ def test_cached_values_cannot_be_changed_by_a_caller():
         assert pieri(la, mu) == want
     for table in (P.hstrips_down(la), P.hstrips_up(mu, 4), P.partitions_upto(4)):
         assert type(table) is tuple and all(type(p) is tuple for p in table)
+    # each count is a fresh list, also for another rotation of one necklace
+    got = Y.borodin_lhs("0110", 9)
+    want = list(got)
+    got[0] = 99
+    got.append(1)
+    assert Y.borodin_lhs("0110", 9) == want
+    assert Y.borodin_lhs("1100", 9) == want
+
+
+def test_one_count_and_one_tally_per_necklace():
+    # cold, the default sweep counts its 62 profiles as 23 necklaces, and
+    # the weight check tallies its 52 mixed profiles as 13
+    def run(argv):
+        for f in CACHES:
+            f.cache_clear()
+        args = cli.build_parser().parse_args(argv)
+        return [r for _, fn in cli.build_tasks(args, cli.Budget(10**6)) for r in fn()]
+
+    records = run(["verify-borodin", "--max-weight", "6"])
+    assert len(records) == 62 * 7
+    counts = Y._necklace_count.cache_info()
+    assert counts.misses == counts.currsize == 23
+    records = run(["verify-stanley", "--n", "0", "--max-weight", "6"])
+    assert len(records) == 1 + 52
+    tallies = Q._necklace_tally.cache_info()
+    assert tallies.misses == tallies.currsize == 13
+    assert Y._necklace_count.cache_info().currsize == 13
 
 
 def test_nothing_is_cached_at_import():
@@ -106,6 +135,8 @@ print(json.dumps(sizes))
         "partition_forge.partitions.partitions_upto",
         "partition_forge.qtseries._pieri_step",
         "partition_forge.paths._layer_alphabet",
+        "partition_forge.cylindric._necklace_count",
+        "partition_forge.qtseries._necklace_tally",
     }
     assert new <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)

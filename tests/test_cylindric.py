@@ -86,10 +86,54 @@ def test_cut_skips_the_heavy_bases():
     # cut at a valley, only the bases of weight <= 20 // 3 start a walk (283
     # entries); a walk from every base of weight <= 20 on the uncut profile,
     # which starts with a step down, fills 2,714
+    # a warm count memo would answer without walking at all
+    Y._necklace_count.cache_clear()
     P.hstrips_down.cache_clear()
     P.hstrips_up.cache_clear()
     Y.borodin_lhs("01010", 20)
     assert P.hstrips_down.cache_info().currsize <= 300
+
+
+def test_necklace_is_the_greatest_rotation():
+    assert Y.necklace("01010") == "10100"
+    assert Y.necklace("0011") == "1100"
+    assert Y.necklace("000") == "000"
+    for t in range(1, 7):
+        for bits in product("01", repeat=t):
+            pi = "".join(bits)
+            turns = {pi[k:] + pi[:k] for k in range(t)}
+            assert Y.necklace(pi) == max(turns) and Y.necklace(Y.rotate_profile(pi)) == max(turns)
+            if "0" in pi and "1" in pi:
+                assert Y.necklace(pi)[0] + Y.necklace(pi)[-1] == "10", pi
+
+
+def test_a_cached_count_never_answers_a_pinned_one():
+    Y._necklace_count.cache_clear()
+    Y.borodin_lhs("0110", 12)
+    assert Y._necklace_count.cache_info().currsize == 1
+    assert Y.borodin_lhs("0110", 12, (1,)) == _listed_counts("0110", 12, (1,))
+    assert Y.borodin_lhs("0011", 12, ()) == _listed_counts("0011", 12, ())
+    assert Y._necklace_count.cache_info().currsize == 1
+
+
+def _reverse_complement(pi, seq):
+    flip = {"0": "1", "1": "0"}
+    return "".join(flip[c] for c in reversed(pi)), seq[::-1]
+
+
+def test_reverse_complement_is_a_bijection_on_cpps():
+    # read backwards, each '1' step up becomes a '0' step down and the other
+    # way round; mu^0 = mu^T stays the base and the weight is the same sum
+    for t in range(1, 6):
+        for bits in product("01", repeat=t):
+            pi = "".join(bits)
+            cpps = Y.enumerate_cpps(pi, 8)
+            images = set()
+            for seq in cpps:
+                rc, image = _reverse_complement(pi, seq)
+                assert image[0] == seq[0] and Y.cpp_weight(image) == Y.cpp_weight(seq)
+                images.add(image)
+            assert images == set(Y.enumerate_cpps(rc, 8)) and len(images) == len(cpps), pi
 
 
 def test_borodin_identity_small():

@@ -1,11 +1,12 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from partition_forge import cylindric as Y
-from partition_forge.cli import mixed_profiles
+from partition_forge.cli import mixed_profiles, record, tally
 from partition_forge import paths as L
 from partition_forge import qtseries as Q
 from partition_forge import series
@@ -211,6 +212,27 @@ def test_weight_alphabet_identity_small():
     for pi in ["10", "110", "100"]:
         for seq in Y.enumerate_cpps(pi, 5):
             assert Q.weight_alphabet_identity(pi, seq), (pi, seq)
+
+
+def test_weight_sides_do_not_depend_on_where_the_cycle_starts():
+    # what lets weight_simplification run once per necklace: turning the
+    # profile one place turns every CPP with it and keeps both sides
+    count = 0
+    for t in range(1, 6):
+        for bits in product("01", repeat=t):
+            pi = "".join(bits)
+            for seq in Y.enumerate_cpps(pi, 6):
+                turned = seq[1:] + seq[1:2]
+                for side in (Q.weight_function, L.dc_alphabet):
+                    assert side(Y.rotate_profile(pi), turned) == side(pi, seq), (pi, seq)
+                count += 1
+    assert count == 2588
+
+
+def test_weight_simplification_matches_the_plain_tally():
+    for pi in mixed_profiles(5):
+        want = tally("w", Y.enumerate_cpps(pi, 5), lambda seq: Q.weight_alphabet_identity(pi, seq))
+        assert record("w", *Q.weight_simplification(pi, 5)) == want, pi
 
 
 def test_hall_littlewood_specialization():
