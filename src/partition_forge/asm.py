@@ -42,28 +42,18 @@ def _interlacing_rows(prev, n):
 
 
 def enumerate_asms(n):
-    """Build matrices row by row from interlacing one-column-index subsets."""
-    out = []
-
-    def rec(chain):
-        k = len(chain) - 1
-        if k == n:
-            rows = []
-            for i in range(1, n + 1):
-                prev, cur = set(chain[i - 1]), set(chain[i])
-                rows.append(
-                    tuple(
-                        (1 if j in cur else 0) - (1 if j in prev else 0)
-                        for j in range(1, n + 1)
-                    )
-                )
-            out.append(validate_asm(rows))
-            return
-        for nxt in _interlacing_rows(chain[-1], n):
-            rec(chain + [nxt])
-
-    rec([()])
-    return out
+    """Build matrices row by row: chains of interlacing rows, one per layer,
+    and matrix row i is [j in chain[i]] - [j in chain[i - 1]]."""
+    chains = [((),)]
+    for _ in range(n):
+        chains = [chain + (cur,) for chain in chains for cur in _interlacing_rows(chain[-1], n)]
+    return [
+        validate_asm([
+            tuple((j in cur) - (j in prev) for j in range(1, n + 1))
+            for prev, cur in zip(chain, chain[1:])
+        ])
+        for chain in chains
+    ]
 
 
 def x_enumeration(n, x):

@@ -12,7 +12,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 from . import asm as asmmod
@@ -76,11 +76,18 @@ def pure_profiles(max_t):
 # checks; each returns a list of records
 
 
+def z_records(label, lhs, rhs, budget):
+    """Charge the count lhs, then one record per z^w of the coefficient lists
+    lhs and rhs, named label:z^w."""
+    budget.spend(sum(lhs))
+    return compare(
+        label + ":z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max(len(lhs), len(rhs)))
+    )
+
+
 def check_borodin(pi, max_weight, budget):
     lhs = cylindric.borodin_lhs(pi, max_weight)
-    budget.spend(sum(lhs))
-    rhs = cylindric.borodin_rhs(pi, max_weight)
-    return compare(pi + ":z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1))
+    return z_records(pi, lhs, cylindric.borodin_rhs(pi, max_weight), budget)
 
 
 def check_qt_borodin(pi, max_weight, qt_degree, budget):
@@ -109,14 +116,10 @@ def check_stanley(shape, max_weight, budget):
     if not shape:
         return [record("(empty):z^0", 1, 1)]
     lhs = cylindric.borodin_lhs(partitions.minimal_profile(shape), max_weight, ())
-    budget.spend(sum(lhs))
     rhs = series.z_coefficients(
         [(partitions.hook(shape, s), -1) for s in partitions.cells(shape)], max_weight
     )
-    label = ",".join(str(p) for p in shape)
-    return compare(
-        "(" + label + "):z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1)
-    )
+    return z_records("(%s)" % ",".join(map(str, shape)), lhs, rhs, budget)
 
 
 def _count_plane_partitions(max_weight):
@@ -131,9 +134,8 @@ def _count_plane_partitions(max_weight):
 
 def check_macmahon(max_weight, budget):
     lhs = _count_plane_partitions(max_weight)
-    budget.spend(sum(lhs))
     rhs = series.z_coefficients([(n, -n) for n in range(1, max_weight + 1)], max_weight)
-    return compare("pp:z^%d", dict(enumerate(lhs)), dict(enumerate(rhs)), range(max_weight + 1))
+    return z_records("pp", lhs, rhs, budget)
 
 
 def alcd_pairs(pi, max_weight):
@@ -190,10 +192,7 @@ def check_correspondences(budget):
         lambda p: corr.reverse_robinson(*corr.robinson(p)) == tuple(p),
     )]
     for n in range(1, 7):
-        total = 0
-        for la in partitions.partitions_of(n):
-            f = standard_count(la)
-            total += f * f
+        total = sum(standard_count(la) ** 2 for la in partitions.partitions_of(n))
         out.append(record("involution:n=%d" % n, total, factorial(n)))
     # column rule round trip with weight balance
     shapes = partitions.partitions_upto(8)
@@ -209,17 +208,17 @@ def check_correspondences(budget):
                 if balanced and corr.burge_up(alpha, beta, m, mu) == la:
                     good += 1
     out.append(record("column-rule:|la|<=8", good, total))
-    # Cauchy counts: matrices with given row and column sums
+    # Cauchy counts: matrices with given row and column sums, each counted
+    # only if both RSK and Burge take it back to itself
     for size in (2, 3):
         for total_sum in range(5):
             lhs = rhs = 0
-            rows_cols = [
-                (r, c)
-                for r in compositions(total_sum, size)
-                for c in compositions(total_sum, size)
-            ]
-            for r, c in rows_cols:
-                lhs += len(matrices_with_margins(r, c))
+            for r, c in product(compositions(total_sum, size), repeat=2):
+                for m in matrices_with_margins(r, c):
+                    rows = [list(row) for row in m]  # the inverses return lists
+                    lhs += (
+                        corr.rsk_inverse(*corr.rsk(m)) == rows == corr.burge_inverse(*corr.burge(m))
+                    )
                 rhs += sum(
                     ssyt_count(la, r) * ssyt_count(la, c)
                     for la in partitions.partitions_of(total_sum)
@@ -230,8 +229,6 @@ def check_correspondences(budget):
 
 
 def corr_permutations(n):
-    from itertools import permutations
-
     return permutations(range(1, n + 1))
 
 
@@ -241,32 +238,21 @@ def standard_count(la):
 
 
 def compositions(n, k):
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
+    return (c for c in product(range(n + 1), repeat=k) if sum(c) == n)
 
 
 def matrices_with_margins(rows, cols):
-    out = []
-
-    def rec(i, remaining_cols, acc):
-        if i == len(rows):
-            if all(c == 0 for c in remaining_cols):
-                out.append(tuple(acc))
-            return
-        for row in compositions(rows[i], len(cols)):
-            if all(row[j] <= remaining_cols[j] for j in range(len(cols))):
-                rec(
-                    i + 1,
-                    tuple(remaining_cols[j] - row[j] for j in range(len(cols))),
-                    acc + [row],
-                )
-
-    rec(0, tuple(cols), [])
-    return out
+    """Nonnegative integer matrices with the given row and column sums, row
+    by row, each partial matrix with the column sums still left."""
+    partial = [((), tuple(cols))]
+    for r in rows:
+        partial = [
+            (acc + (row,), tuple(c - x for c, x in zip(left, row)))
+            for acc, left in partial
+            for row in compositions(r, len(cols))
+            if all(x <= c for x, c in zip(row, left))
+        ]
+    return [acc for acc, left in partial if not any(left)]
 
 
 def ssyt_count(la, content):

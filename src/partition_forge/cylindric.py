@@ -75,33 +75,39 @@ def cpp_refined_weight(seq):
     return tuple(sum(mu) for mu in seq[1:])
 
 
+def next_shapes(letter, mu, room):
+    """The partitions la of size at most room that may follow mu on a step of
+    the given letter: la/mu a horizontal strip on a '1', mu/la on a '0'."""
+    if letter == "1":
+        return hstrips_up(mu, room) if room >= sum(mu) else ()
+    down = hstrips_down(mu)
+    return down if sum(mu) <= room else [la for la in down if sum(la) <= room]
+
+
 def enumerate_cpps(pi, max_weight):
-    """All cylindric plane partitions over pi of weight at most max_weight."""
+    """All cylindric plane partitions over pi of weight at most max_weight.
+
+    Built one step at a time by next_shapes, base by base, as _closed_walks
+    counts them: each prefix (mu^0, ..., mu^k) carries its weight, which
+    counts |mu^T| = |mu^0| from the start, and a prefix (mu^0, ..., mu^(T-1))
+    is kept when the last step of pi can land on mu^0.
+    """
     check_profile(pi)
-    T = len(pi)
-    out = []
-
-    def rec(k, seq, used):
-        mu0 = seq[0]
-        if k == T:
-            # last step must land exactly on mu^0
-            ok = is_horizontal_strip(*step_strip(pi[T - 1], seq[-1], mu0))
-            if ok and used + sum(mu0) <= max_weight:
-                out.append(tuple(seq) + (mu0,))
-            return
-        budget = max_weight - used - sum(mu0)  # mu^T still to pay for
-        if pi[k - 1] == "1":
-            if budget < sum(seq[-1]):
-                return
-            cand = hstrips_up(seq[-1], budget)
-        else:
-            cand = [mu for mu in hstrips_down(seq[-1]) if sum(mu) <= budget]
-        for mu in cand:
-            rec(k + 1, seq + [mu], used + sum(mu))
-
+    cpps = []
     for mu0 in partitions_upto(max_weight):
-        rec(1, [mu0], 0)
-    return out
+        prefixes = [((mu0,), sum(mu0))]
+        for letter in pi[:-1]:
+            prefixes = [
+                (seq + (la,), w + sum(la))
+                for seq, w in prefixes
+                for la in next_shapes(letter, seq[-1], max_weight - w)
+            ]
+        cpps += [
+            seq + (mu0,)
+            for seq, _ in prefixes
+            if is_horizontal_strip(*step_strip(pi[-1], seq[-1], mu0))
+        ]
+    return cpps
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +164,18 @@ def cylindric_boxes(pi, max_hook):
 
 
 def enumerate_alcds(pi, max_weight):
-    """All label assignments of total weight at most max_weight."""
+    """All label assignments of total weight at most max_weight, one box at a
+    time: label 0 leaves the box out."""
     check_profile(pi)
-    boxes = list(cylindric_boxes(pi, max_weight))
-    out = []
-
-    def rec(idx, acc, used):
-        if idx == len(boxes):
-            out.append(dict(acc))
-            return
-        box = boxes[idx]
+    partial = [((), 0)]
+    for box in cylindric_boxes(pi, max_weight):
         h = box_hook(pi, box)
-        rec(idx + 1, acc, used)
-        for m in range(1, (max_weight - used) // h + 1):
-            rec(idx + 1, acc + [(box, m)], used + m * h)
-
-    rec(0, [], 0)
-    return out
+        partial = [
+            (acc + ((box, m),) if m else acc, used + m * h)
+            for acc, used in partial
+            for m in range((max_weight - used) // h + 1)
+        ]
+    return [dict(acc) for acc, _ in partial]
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +333,8 @@ def _closed_walks(pi, max_weight, bases):
         for step in pi[:-1]:
             nxt = {}
             for mu, walks in states.items():
-                room = max_weight - min(walks)
-                if step == "1":
-                    cand = hstrips_up(mu, room) if room >= sum(mu) else ()
-                else:
-                    cand = hstrips_down(mu)
-                for la in cand:
+                for la in next_shapes(step, mu, max_weight - min(walks)):
                     size = sum(la)
-                    if size > room:
-                        continue
                     reached = nxt.setdefault(la, {})
                     for w, n in walks.items():
                         if w + size <= max_weight:

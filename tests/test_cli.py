@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from partition_forge import asm as asmmod
 from partition_forge import aztec
 from partition_forge import cli
+from partition_forge import correspondences as corr
 from partition_forge import cylindric
 from partition_forge import lambdadet
 from partition_forge import qtseries
@@ -464,6 +465,23 @@ def test_a_broken_check_exits_1_not_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_a_broken_rsk_inverse_fails_verify_correspondences(monkeypatch, capsys):
+    # the Cauchy counts take only the matrices that RSK and Burge give back
+    rsk_inverse = corr.rsk_inverse
+
+    def off_by_one(t, tp):
+        m = rsk_inverse(t, tp)
+        if m and m[0]:
+            m[0][0] += 1
+        return m
+
+    monkeypatch.setattr(corr, "rsk_inverse", off_by_one)
+    assert cli.main(["verify-correspondences"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failed = [r["degree"] for r in report["coefficients"] if not r["match"]]
+    assert failed and all(d.startswith("cauchy:") for d in failed)
 
 
 def test_record_prints_ints_and_fractions():

@@ -4,6 +4,7 @@ import pytest
 
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
+from partition_forge import series
 
 EXAMPLE_PI = "10100"
 EXAMPLE_SEQ = (
@@ -54,6 +55,20 @@ def _listed_counts(pi, max_weight, base=None):
         if base is None or seq[0] == base:
             counts[Y.cpp_weight(seq)] += 1
     return counts
+
+
+def test_next_shapes_is_the_strip_rule_under_the_room():
+    # against the definition: every partition of size <= room whose step from
+    # mu is a horizontal strip in the letter's direction, each listed once
+    for mu in P.partitions_upto(6):
+        for letter in "01":
+            for room in range(9):
+                got = Y.next_shapes(letter, mu, room)
+                want = [
+                    la for la in P.partitions_upto(room)
+                    if P.is_horizontal_strip(*Y.step_strip(letter, mu, la))
+                ]
+                assert sorted(got) == sorted(want) and len(set(got)) == len(got), (letter, mu, room)
 
 
 def test_transfer_matrix_counts_match_listing():
@@ -170,6 +185,22 @@ def test_alcd_stats():
     labels = {(1, 2, 0): 2, (3, 5, 0): 1, (1, 4, 1): 3}
     Y.validate_alcd(pi, labels)
     assert Y.alcd_weight(pi, labels) == 2 * 1 + 1 * 2 + 3 * 8
+
+
+def test_enumerate_alcds_lists_each_diagram_once_by_the_hook_product():
+    # a diagram is a label m >= 0 on each box, weighing m * hook: by weight
+    # the listing counts prod_boxes 1/(1 - z^hook), the count that
+    # enumerate --kind alcds charges
+    W = 8
+    for pi in mixed_profiles(4):
+        alcds = Y.enumerate_alcds(pi, W)
+        assert len({tuple(sorted(a.items())) for a in alcds}) == len(alcds), pi
+        counts = [0] * (W + 1)
+        for labels in alcds:
+            assert Y.validate_alcd(pi, labels) == labels
+            counts[Y.alcd_weight(pi, labels)] += 1
+        hooks = [(Y.box_hook(pi, box), -1) for box in Y.cylindric_boxes(pi, W)]
+        assert counts == series.z_coefficients(hooks, W), pi
 
 
 def test_phi_tiny():
