@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 from . import asm as asmmod
 from . import aztec
@@ -209,9 +209,11 @@ def check_correspondences(budget):
                     good += 1
     out.append(record("column-rule:|la|<=8", good, total))
     # Cauchy counts: matrices with given row and column sums, each counted
-    # only if both RSK and Burge take it back to itself
+    # only if both RSK and Burge take it back to itself; there are
+    # comb(total_sum + size^2 - 1, size^2 - 1) matrices of each sum to list
     for size in (2, 3):
         for total_sum in range(5):
+            budget.spend(comb(total_sum + size * size - 1, size * size - 1))
             lhs = rhs = 0
             for r, c in product(compositions(total_sum, size), repeat=2):
                 for m in matrices_with_margins(r, c):
@@ -223,7 +225,7 @@ def check_correspondences(budget):
                     ssyt_count(la, r) * ssyt_count(la, c)
                     for la in partitions.partitions_of(total_sum)
                     if len(la) <= size
-                ) if total_sum else 1
+                )
             out.append(record("cauchy:%dx%d sum %d" % (size, size, total_sum), lhs, rhs))
     return out
 
@@ -257,8 +259,6 @@ def matrices_with_margins(rows, cols):
 
 def ssyt_count(la, content):
     """Number of semistandard fillings of la with given content vector."""
-    if sum(content) != sum(la):
-        return 0
     counts = {(): 1}
     for c in content:
         counts = series.accumulate(
@@ -273,13 +273,9 @@ def ssyt_count(la, content):
 def check_asm(max_n, budget):
     out = []
     for n in range(max_n + 1):
-        formula = asmmod.asm_count_formula(n)
-        if n == 0:
-            out.append(record("count:n=0", 1, formula))
-            continue
         count = asmmod.x_enumeration(n, 1)
         budget.spend(count)
-        out.append(record("count:n=%d" % n, count, formula))
+        out.append(record("count:n=%d" % n, count, asmmod.asm_count_formula(n)))
     for n in range(1, min(max_n, 4) + 1):
         asms = asmmod.enumerate_asms(n)
         out.append(tally("properties:n=%d" % n, asms, lambda b: _asm_properties_hold(n, b)))
@@ -298,21 +294,18 @@ def _asm_properties_hold(n, b):
         comp = tuple(1 - x for x in bits)
         if asmmod.left_below_family(b, bits) != asmmod.right_below_family(b, comp):
             return False
-    if n >= 2:
-        amin = asmmod.left_below_family(b, (0,) * k)
-        amax = asmmod.left_below_family(b, (1,) * k)
-        fb, fa = asmmod.f_weight_exponents(b), asmmod.f_weight_exponents(amin)
-        gb, ga = asmmod.g_weight_exponents(b), asmmod.g_weight_exponents(amax)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                prev = fa[i - 2][j - 2] if i >= 2 and j >= 2 else 0
-                if fb[i - 1][j - 1] - prev != int(asmmod.is_inversion(b, i, j)):
-                    return False
-                prev = ga[i - 2][j - 1] if i >= 2 and j <= n - 1 else 0
-                if gb[i - 1][j - 1] - prev != int(
-                    asmmod.is_dual_inversion(b, i, j)
-                ):
-                    return False
+    amin = asmmod.left_below_family(b, (0,) * k)
+    amax = asmmod.left_below_family(b, (1,) * k)
+    fb, fa = asmmod.f_weight_exponents(b), asmmod.f_weight_exponents(amin)
+    gb, ga = asmmod.g_weight_exponents(b), asmmod.g_weight_exponents(amax)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            prev = fa[i - 2][j - 2] if i >= 2 and j >= 2 else 0
+            if fb[i - 1][j - 1] - prev != int(asmmod.is_inversion(b, i, j)):
+                return False
+            prev = ga[i - 2][j - 1] if i >= 2 and j <= n - 1 else 0
+            if gb[i - 1][j - 1] - prev != int(asmmod.is_dual_inversion(b, i, j)):
+                return False
     return True
 
 
@@ -353,10 +346,12 @@ def check_lambda_det(max_n, points, seed, budget):
     def grid(size):
         return [[rnd() for _ in range(size)] for _ in range(size)]
 
+    forms = {}
     for n in range(2, max_n + 1):
         good = 0
-        budget.spend(points)
-        forms = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
+        # level k's closed form has a monomial per interlacing pair, 2^(k(k-1)/2)
+        budget.spend(points + sum(2 ** (k * (k - 1) // 2) for k in range(1, n + 1)))
+        forms[n] = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
         done = 0
         while done < points:
             lam, mu, x, y = grid(n), grid(n), grid(n), grid(n + 1)
@@ -367,7 +362,7 @@ def check_lambda_det(max_n, points, seed, budget):
             done += 1
             if all(
                 levels[k][0][0]
-                == lambdadet.closed_form_value(forms[k - 1], lam, mu, x, y)
+                == lambdadet.closed_form_value(forms[n][k - 1], lam, mu, x, y)
                 for k in range(1, n + 1)
             ):
                 good += 1
@@ -378,15 +373,18 @@ def check_lambda_det(max_n, points, seed, budget):
             tally(
                 "symbolic:n=%d" % n,
                 range(1, n + 1),
-                lambda k: levels[k][0][0] == lambdadet.Rat(lambdadet.closed_form_symbolic(n, k)),
+                lambda k: levels[k][0][0] == lambdadet.Rat(forms[n][k - 1]),
             )
         )
+    # each corollary below has one term per sign matrix of its size
     for n in range(2, min(max_n, 3) + 1):
         apex = lambdadet.symbolic_pyramid(n, lambdadet.one_parameter)[n][0][0]
+        budget.spend(asmmod.x_enumeration(n, 1))
         want = _robbins_rumsey_symbolic(n)
         out.append(record("one-parameter:n=%d" % n, int(apex == want), 1))
     for n in range(1, max_n + 1):
         m = grid(n)
+        budget.spend(asmmod.x_enumeration(n, 1))
         out.append(
             record(
                 "determinant:n=%d" % n,

@@ -198,10 +198,7 @@ def up_step(seq, i, m):
 
 def first_descent(pi):
     """Leftmost linear peak, or None."""
-    for i in range(1, len(pi)):
-        if pi[i - 1] == "1" and pi[i] == "0":
-            return i
-    return None
+    return pi.find("10") + 1 or None
 
 
 def sort_steps(pi):

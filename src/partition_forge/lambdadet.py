@@ -166,7 +166,7 @@ def closed_form_terms(n, k):
                     (("x", i, j), b[i - 1][j - 1]),
                 ]
         for bits in product((0, 1), repeat=signs):
-            a = A.left_below_family(b, bits) if k > 1 else ()
+            a = A.left_below_family(b, bits)
             fa = A.f_weight_exponents(a)
             ga = A.g_weight_exponents(a)
             pairs = list(top)
@@ -255,8 +255,6 @@ def det_cofactor(m):
     n = len(m)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return Fraction(m[0][0])
     total = Fraction(0)
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]

@@ -85,36 +85,28 @@ def classify_cubes(pi, paths):
     A cube pairs an occupied y1 with an empty y2 above it; its arm counts the
     occupied sites strictly between them and its leg the empty ones.
     """
-    T = len(pi)
-    pts = [path_points(p) for p in paths]
     out = []
-    for x in range(T):
-        ys = [p[x] for p in pts]
-        path_at = {y: k for k, y in enumerate(ys)}
-        if len(path_at) != len(ys):
-            raise AssertionError("intersecting paths")
+    for x in range(len(pi)):
+        ys = occupancy(paths, x)
         window = range(min(ys), max(ys) + 1, 2)
-        below = [0]  # below[i]: occupied sites in window[:i]
-        for y in window:
-            below.append(below[-1] + (y in path_at))
-        for j, y2 in enumerate(window):
-            if y2 in path_at:
+        for y2 in window:
+            if y2 in ys:
                 continue
-            for i, y1 in enumerate(window[:j]):
-                k = path_at.get(y1)
-                if k is None:
+            for y1 in window:
+                if y1 >= y2 or y1 not in ys:
                     continue
-                arm = below[j] - below[i + 1]
-                steps = paths[k][1]
-                incoming = steps[x - 1] if x > 0 else steps[T - 1]
-                outgoing = steps[x]
+                between = [y in ys for y in window if y1 < y < y2]
+                arm = sum(between)
+                steps = paths[ys.index(y1)][1]
+                # steps[-1] is the step into x = 0 around the cylinder
+                incoming, outgoing = steps[x - 1], steps[x]
                 out.append(
                     {
                         "x": x,
                         "y1": y1,
                         "y2": y2,
                         "arm": arm,
-                        "leg": j - i - 1 - arm,
+                        "leg": len(between) - arm,
                         # a path dipping to a local minimum carries a peak cube
                         "peak": incoming == "0" and outgoing == "1",
                         "valley": incoming == "1" and outgoing == "0",

@@ -101,16 +101,6 @@ def _pieri_step(step, before, after):
     return tuple(fp_validate(series.accumulate(pairs)).items())
 
 
-def pieri_phi(la, mu):
-    """Coefficient of the horizontal strip la/mu in the h-type Pieri rule."""
-    return dict(_pieri_step("1", mu, la))
-
-
-def pieri_psi(la, mu):
-    """Companion coefficient over the columns the strip does not touch."""
-    return dict(_pieri_step("0", la, mu))
-
-
 def weight_function(pi, seq):
     """Product of Pieri coefficients along the profile, summed as factor
     products from the per-step table."""

@@ -55,9 +55,6 @@ def binomial_factor(exps, power, keep):
     exps = tuple(exps)
     if not any(exps):
         raise AssertionError("zero exponent %r" % (exps,))
-    nvars = len(exps)
-    if not keep(exps):
-        return one(nvars)
     out = {}
     k = 0
     while True:

@@ -484,6 +484,57 @@ def test_a_broken_rsk_inverse_fails_verify_correspondences(monkeypatch, capsys):
     assert failed and all(d.startswith("cauchy:") for d in failed)
 
 
+def test_correspondences_charges_the_cauchy_matrices_before_listing(monkeypatch, capsys):
+    # the S5 tally charges 120 and the column rule 3,656; the Cauchy counts
+    # then charge comb(s + size^2 - 1, size^2 - 1) per size and sum s, 785
+    listed = []
+    listing = cli.matrices_with_margins
+
+    def recording(rows, cols):
+        listed.append((rows, cols))
+        return listing(rows, cols)
+
+    monkeypatch.setattr(cli, "matrices_with_margins", recording)
+    assert cli.main(["verify-correspondences", "--max-instances", "3776"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 3777 > 3776\n"
+    assert listed == []
+    assert cli.main(["verify-correspondences", "--max-instances", "4561"]) == 0
+    assert listed
+
+
+def test_lambda_det_charges_each_closed_form_before_building_it(monkeypatch, capsys):
+    # level k of the closed form has 2^(k(k-1)/2) monomials: 32,768 at k = 6
+    build = lambdadet.closed_form_symbolic
+
+    def refuse_the_largest(n, k):
+        if (n, k) == (6, 6):
+            raise AssertionError("closed_form_symbolic(6, 6) called")
+        return build(n, k)
+
+    monkeypatch.setattr(lambdadet, "closed_form_symbolic", refuse_the_largest)
+    assert cli.main(["verify-lambda-det", "--n", "6", "--max-instances", "5000"]) == 2
+    assert "instance cap exceeded" in capsys.readouterr().err
+
+
+def test_lambda_det_charges_each_corollary_before_building_it(monkeypatch, capsys):
+    # at one point per n, the numeric records charge 1 + 3, 1 + 11 and 1 + 75;
+    # each corollary charges |ASM(n)|: 2 and 7 for the one-parameter records,
+    # then 1, 2, 7 and 42 for the determinants, 153 in all
+    argv = ["verify-lambda-det", "--n", "4", "--points", "1", "--max-instances"]
+    assert cli.main(argv + ["153"]) == 0
+    capsys.readouterr()
+    build = lambdadet.robbins_rumsey_symbolic
+
+    def refuse_n_4(n):
+        if n == 4:
+            raise AssertionError("robbins_rumsey_symbolic(4) called")
+        return build(n)
+
+    monkeypatch.setattr(lambdadet, "robbins_rumsey_symbolic", refuse_n_4)
+    assert cli.main(argv + ["152"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 153 > 152\n"
+
+
 def test_record_prints_ints_and_fractions():
     from fractions import Fraction
 

@@ -5,6 +5,7 @@ import pytest
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
 from partition_forge import series
+from partition_forge.cli import mixed_profiles
 
 EXAMPLE_PI = "10100"
 EXAMPLE_SEQ = (
@@ -15,14 +16,6 @@ EXAMPLE_SEQ = (
     (5, 3, 2),
     (3, 2, 2),
 )
-
-
-def mixed_profiles(max_t):
-    for t in range(2, max_t + 1):
-        for bits in product("01", repeat=t):
-            pi = "".join(bits)
-            if "0" in pi and "1" in pi:
-                yield pi
 
 
 def test_example_cpp():

@@ -7,6 +7,7 @@ import pytest
 
 from partition_forge import cylindric as Y
 from partition_forge.cli import mixed_profiles, record, tally
+from partition_forge import partitions as P
 from partition_forge import paths as L
 from partition_forge import qtseries as Q
 from partition_forge import series
@@ -55,8 +56,6 @@ def test_cube_bookkeeping():
             for x in range(t):
                 layer = seq[(t - x) % t]
                 got = sorted((c["arm"], c["leg"]) for c in by_x.get(x, []))
-                from partition_forge import partitions as P
-
                 want = sorted(
                     (P.arm(layer, s), P.leg(layer, s)) for s in P.cells(layer)
                 )
@@ -94,17 +93,52 @@ def _dc_alphabet_from_paths(pi, seq):
     )
 
 
+def _macdonald_pieri(letter, la, mu):
+    """phi_{la/mu} on a '1' letter, psi_{la/mu} on a '0', as a factor product,
+    by Macdonald, Symmetric Functions and Hall Polynomials, VI (6.24).
+
+    With C the columns and R the rows that meet la - mu, phi is the product of
+    b_la(s) / b_mu(s) over the boxes s in C, and psi the product of
+    b_mu(s) / b_la(s) over the boxes s in R outside C, where b_nu(s) is
+    (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) with the arm a and leg l of s in nu,
+    and 1 for s outside nu.
+    """
+    strip = set(P.cells(la)) - set(P.cells(mu))
+    cols = {j for _, j in strip}
+    rows = {i for i, _ in strip}
+    if letter == "1":
+        num, den, inside = la, mu, lambda i, j: j in cols
+    else:
+        num, den, inside = mu, la, lambda i, j: i in rows and j not in cols
+    pairs = []
+    for shape, sign in ((num, 1), (den, -1)):
+        for s in P.cells(shape):
+            if inside(*s):
+                a, l = P.arm(shape, s), P.leg(shape, s)
+                pairs += [((a, l + 1), sign), ((a + 1, l), -sign)]
+    return series.accumulate(pairs)
+
+
 def _weight_by_factor_chain(pi, seq):
-    """The weight as one factor-product multiplication per step."""
+    """The weight as one Macdonald Pieri coefficient per step: phi of the
+    strip a '1' step adds, psi of the strip a '0' step removes."""
     seq = Y.validate_cpp(pi, seq)
     out = {}
-    for k in range(1, len(pi) + 1):
-        if pi[k - 1] == "1":
-            factor = Q.pieri_phi(seq[k], seq[k - 1])
-        else:
-            factor = Q.pieri_psi(seq[k - 1], seq[k])
-        out = series.add(out, factor)  # a product of factor products adds exponents
+    for k, letter in enumerate(pi, 1):
+        before, after = seq[k - 1], seq[k]
+        la, mu = (after, before) if letter == "1" else (before, after)
+        out = series.add(out, _macdonald_pieri(letter, la, mu))  # a product adds exponents
     return Q.fp_validate(out)
+
+
+def test_pieri_step_is_macdonalds_phi_and_psi():
+    count = 0
+    for la in P.partitions_upto(9):
+        for mu in P.hstrips_down(la):
+            assert dict(Q._pieri_step("1", mu, la)) == _macdonald_pieri("1", la, mu), (la, mu)
+            assert dict(Q._pieri_step("0", la, mu)) == _macdonald_pieri("0", la, mu), (la, mu)
+            count += 1
+    assert count == 734
 
 
 def test_dc_alphabet_matches_the_path_model():
@@ -155,10 +189,11 @@ for pi, seq in %r:
 
 
 def test_pieri_phi_fixture():
-    assert Q.pieri_phi((1,), ()) == {(0, 1): 1, (1, 0): -1}
-    assert Q.pieri_psi((1,), ()) == {}
-    assert Q.pieri_phi((2,), (2,)) == {}
-    assert Q.pieri_psi((2, 1), (2, 1)) == {}
+    # phi of the strip la/mu on the step mu -> la, psi on the step la -> mu
+    assert dict(Q._pieri_step("1", (), (1,))) == {(0, 1): 1, (1, 0): -1}
+    assert Q._pieri_step("0", (1,), ()) == ()
+    assert Q._pieri_step("1", (2,), (2,)) == ()
+    assert Q._pieri_step("0", (2, 1), (2, 1)) == ()
 
 
 NOT_STRIPS = [
@@ -170,18 +205,18 @@ NOT_STRIPS = [
 
 def test_pieri_rejects_a_non_strip():
     for la, mu in NOT_STRIPS:
-        for pieri in (Q.pieri_phi, Q.pieri_psi):
+        for step in (("1", mu, la), ("0", la, mu)):
             with pytest.raises(AssertionError):
-                pieri(la, mu)
+                Q._pieri_step(*step)
     code = """
-from partition_forge.qtseries import pieri_phi, pieri_psi
+from partition_forge.qtseries import _pieri_step
 for la, mu in %r:
-    for pieri in (pieri_phi, pieri_psi):
+    for step in (("1", mu, la), ("0", la, mu)):
         try:
-            pieri(la, mu)
+            _pieri_step(*step)
         except AssertionError:
             continue
-        raise SystemExit("%%s accepted %%r/%%r" %% (pieri.__name__, la, mu))
+        raise SystemExit("_pieri_step accepted %%r" %% (step,))
 """ % (NOT_STRIPS,)
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -189,12 +224,10 @@ for la, mu in %r:
 
 def test_pieri_q_equals_t_trivial():
     # at q = t every coefficient is 1
-    from partition_forge import partitions as P
-
     for la in P.partitions_upto(5):
         for mu in P.hstrips_down(la):
-            assert Q.fp_is_one_at_q_equals_t(Q.pieri_phi(la, mu))
-            assert Q.fp_is_one_at_q_equals_t(Q.pieri_psi(la, mu))
+            assert Q.fp_is_one_at_q_equals_t(dict(Q._pieri_step("1", mu, la)))
+            assert Q.fp_is_one_at_q_equals_t(dict(Q._pieri_step("0", la, mu)))
 
 
 def test_weight_function_collapses_at_q_equals_t():
@@ -297,55 +330,6 @@ def test_qt_refined_rhs_at_equal_z_is_qt_borodin_rhs():
         refined = Q.qt_refined_rhs(pi, 5, 3)
         at_z = series.accumulate(((sum(k[:T]),) + k[T:], c) for k, c in refined.items())
         assert at_z == Q.qt_borodin_rhs(pi, 5, 3), pi
-
-
-def _classify_cubes_oracle(pi, paths):
-    """Reference cube classifier: recomputes every path's points at every x
-    and scans the window for each pair of sites."""
-    T = len(pi)
-    pts = [L.path_points(p) for p in paths]
-    out = []
-    for x in range(T):
-        ys = L.occupancy(paths, x)
-        occ = set(ys)
-        lo, hi = min(ys), max(ys)
-        window = list(range(lo, hi + 1, 2))
-        for y2 in window:
-            if y2 in occ:
-                continue
-            for y1 in window:
-                if y1 >= y2 or y1 not in occ:
-                    continue
-                between = [y for y in window if y1 < y < y2]
-                arm = sum(1 for y in between if y in occ)
-                leg = len(between) - arm
-                k = next(idx for idx, p in enumerate(pts) if p[x] == y1)
-                incoming = paths[k][1][x - 1] if x > 0 else paths[k][1][T - 1]
-                outgoing = paths[k][1][x]
-                peak = incoming == "0" and outgoing == "1"
-                valley = incoming == "1" and outgoing == "0"
-                surface = arm == 0 and all(y not in occ for y in between)
-                out.append(
-                    {
-                        "x": x,
-                        "y1": y1,
-                        "y2": y2,
-                        "arm": arm,
-                        "leg": leg,
-                        "peak": peak,
-                        "valley": valley,
-                        "surface": surface,
-                        "level": y2 - y1,
-                    }
-                )
-    return out
-
-
-def test_classify_cubes_matches_the_scanning_oracle():
-    for pi in ["10", "110", "0101", "10100"]:
-        for seq in Y.enumerate_cpps(pi, 6):
-            paths = L.cpp_to_paths(pi, seq)
-            assert L.classify_cubes(pi, paths) == _classify_cubes_oracle(pi, paths), (pi, seq)
 
 
 def test_classify_cubes_rejects_intersecting_paths():

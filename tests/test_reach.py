@@ -28,8 +28,6 @@ TEST_ONLY = {
     "corollary_value": WIRING,
     "fp_is_one_at_q_equals_t": WIRING,
     "fp_set_q_zero": WIRING,
-    "pieri_phi": "the paper's phi, read by the factor-chain oracle of weight_function",
-    "pieri_psi": "the paper's psi, read by the factor-chain oracle of weight_function",
     "cpp_to_paths": "the path-model oracle of dc_alphabet",
     "classify_cubes": "the path-model oracle of dc_alphabet",
     "paths_to_cpp": "shows that cpp_to_paths encodes each CPP faithfully",
