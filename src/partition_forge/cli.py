@@ -175,13 +175,13 @@ def check_bijection(pi, max_weight, budget):
 
 def check_refined_bijection(pi, max_weight, budget):
     budget.spend(sum(cylindric.borodin_lhs(pi, max_weight)))
-    lhs = sorted(map(cylindric.cpp_refined_weight, cylindric.enumerate_cpps(pi, max_weight)))
-    rhs = []
-    for labels, gamma, _ in alcd_pairs(pi, max_weight):
-        vec = tuple(sum(gamma) + w for w in cylindric.alcd_refined_weight(pi, labels))
-        if sum(vec) <= max_weight:
-            rhs.append(vec)
-    good = int(lhs == sorted(rhs))
+    lhs = cylindric.borodin_refined_lhs(pi, max_weight)
+    vecs = (
+        tuple(sum(gamma) + w for w in cylindric.alcd_refined_weight(pi, labels))
+        for labels, gamma, _ in alcd_pairs(pi, max_weight)
+    )
+    rhs = series.accumulate((vec, 1) for vec in vecs if sum(vec) <= max_weight)
+    good = int(lhs == rhs)
     return [record("%s:refined multiset" % pi, good, 1)]
 
 

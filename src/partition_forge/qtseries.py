@@ -180,21 +180,42 @@ def qt_borodin_rhs(pi, max_weight, qt_cap):
 
 
 def _graded_weights(pi, max_weight, qt_cap, grade):
-    """Sum of z^grade(c) times the expanded weight over all small enough c."""
+    """Sum of z^grade(c) times the expanded weight over all small enough c.
+
+    The CPPs are tallied by weight and grade first, so each distinct weight
+    is expanded once and added at each grade times the number of CPPs there."""
+    tally = {}
+    for seq in enumerate_cpps(pi, max_weight):
+        grades = tally.setdefault(frozenset(weight_function(pi, seq).items()), {})
+        z = grade(seq)
+        grades[z] = grades.get(z, 0) + 1
     keep2 = series.degree_cap(qt_cap)
-
-    def terms():
-        for seq in enumerate_cpps(pi, max_weight):
-            z = grade(seq)
-            for qt, c in fp_expand(weight_function(pi, seq), keep2).items():
-                yield z + qt, c
-
-    return series.accumulate(terms())
+    return series.accumulate(
+        (z + qt, n * c)
+        for fp, grades in tally.items()
+        for qt, c in fp_expand(dict(fp), keep2).items()
+        for z, n in grades.items()
+    )
 
 
 def qt_borodin_lhs(pi, max_weight, qt_cap):
-    """Sum of z^|c| times the expanded weight over all small enough c."""
-    return _graded_weights(pi, max_weight, qt_cap, lambda seq: (cpp_weight(seq),))
+    """Sum of z^|c| times the expanded weight over all small enough c.
+
+    Both the z-grade |mu^1| + ... + |mu^T| and weight_function are cyclic sums
+    of per-step tables, so rotating pi together with each CPP changes
+    neither; the sum is taken once per necklace(pi), max_weight and qt_cap
+    (see _necklace_weights).  Each call returns a fresh dict.
+    """
+    check_profile(pi)
+    return dict(_necklace_weights(necklace(pi), max_weight, qt_cap))
+
+
+@lru_cache(maxsize=None)
+def _necklace_weights(neck, max_weight, qt_cap):
+    """qt_borodin_lhs over the greatest rotation neck, as a tuple of items
+    cached for the process."""
+    grade = lambda seq: (cpp_weight(seq),)
+    return tuple(_graded_weights(neck, max_weight, qt_cap, grade).items())
 
 
 def collapse_t_to_q(series3):
@@ -203,7 +224,9 @@ def collapse_t_to_q(series3):
 
 
 def qt_refined_lhs(pi, max_weight, qt_cap):
-    """Refined weights: exponent vector (|mu^1|, ..., |mu^T|) plus (q, t)."""
+    """Refined weights: exponent vector (|mu^1|, ..., |mu^T|) plus (q, t).
+
+    Not cached per necklace: rotating pi permutes the refined grade."""
     return _graded_weights(pi, max_weight, qt_cap, cpp_refined_weight)
 
 

@@ -18,6 +18,7 @@ CACHES = (
     L._layer_alphabet,
     Y._necklace_count,
     Q._necklace_tally,
+    Q._necklace_weights,
 )
 
 
@@ -62,6 +63,7 @@ def test_cold_and_warm_runs_agree():
         ],
         lambda: [Y.borodin_lhs(pi, 9) for pi in ("10", "110", "0101", "10100")],
         lambda: Y.borodin_lhs("110100", 8, (1,)),
+        lambda: [Q.qt_borodin_lhs(pi, 5, 4) for pi in ("10", "0101", "1010")],
     ]
     for run in runs:
         for f in CACHES:
@@ -86,11 +88,19 @@ def test_cached_values_cannot_be_changed_by_a_caller():
     got.append(1)
     assert Y.borodin_lhs("0110", 9) == want
     assert Y.borodin_lhs("1100", 9) == want
+    # and so is each (q, t) left side
+    got = Q.qt_borodin_lhs("0110", 5, 4)
+    want = dict(got)
+    got[0, 0, 0] = 99
+    got[9, 9, 9] = 1
+    assert Q.qt_borodin_lhs("0110", 5, 4) == want
+    assert Q.qt_borodin_lhs("1100", 5, 4) == want
 
 
 def test_one_count_and_one_tally_per_necklace():
-    # cold, the default sweep counts its 62 profiles as 23 necklaces, and
-    # the weight check tallies its 52 mixed profiles as 13
+    # cold, the default sweep counts its 62 profiles as 23 necklaces, the
+    # weight check tallies its 52 mixed profiles as 13, and the (q, t) sweep
+    # expands the left sides of its 22 profiles as 7
     def run(argv):
         for f in CACHES:
             f.cache_clear()
@@ -106,6 +116,10 @@ def test_one_count_and_one_tally_per_necklace():
     tallies = Q._necklace_tally.cache_info()
     assert tallies.misses == tallies.currsize == 13
     assert Y._necklace_count.cache_info().currsize == 13
+    records = run(["verify-qt-borodin", "--max-weight", "4", "--qt-degree", "4"])
+    assert len({r["degree"].partition(":")[0] for r in records}) == 22
+    sides = Q._necklace_weights.cache_info()
+    assert sides.misses == sides.currsize == 7
 
 
 def test_nothing_is_cached_at_import():
@@ -133,6 +147,7 @@ print(json.dumps(sizes))
         "partition_forge.paths._layer_alphabet",
         "partition_forge.cylindric._necklace_count",
         "partition_forge.qtseries._necklace_tally",
+        "partition_forge.qtseries._necklace_weights",
     }
     assert new <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)

@@ -323,6 +323,43 @@ def test_qt_refined_small():
     assert lhs == rhs
 
 
+def _fold_weights(pi, max_weight, qt_cap, grade):
+    # the plain left side: one expansion per CPP
+    keep = series.degree_cap(qt_cap)
+    return series.accumulate(
+        (grade(seq) + qt, c)
+        for seq in Y.enumerate_cpps(pi, max_weight)
+        for qt, c in Q.fp_expand(Q.weight_function(pi, seq), keep).items()
+    )
+
+
+def test_left_sides_are_the_per_cpp_fold():
+    for pi in mixed_profiles(5):
+        for W, D in ((6, 6), (5, 2)):
+            want = _fold_weights(pi, W, D, lambda seq: (Y.cpp_weight(seq),))
+            assert Q.qt_borodin_lhs(pi, W, D) == want, (pi, W, D)
+            want = _fold_weights(pi, W, D, Y.cpp_refined_weight)
+            assert Q.qt_refined_lhs(pi, W, D) == want, (pi, W, D)
+
+
+def test_every_rotation_has_its_necklaces_left_side():
+    for pi in mixed_profiles(5):
+        own = dict(Q._necklace_weights.__wrapped__(pi, 6, 6))
+        assert own == Q.qt_borodin_lhs(Y.necklace(pi), 6, 6), pi
+
+
+def test_each_distinct_weight_is_expanded_once(monkeypatch):
+    pi = "10100"
+    seqs = Y.enumerate_cpps(pi, 8)
+    distinct = {frozenset(Q.weight_function(pi, seq).items()) for seq in seqs}
+    calls = []
+    expand = Q.fp_expand
+    monkeypatch.setattr(Q, "fp_expand", lambda a, keep: calls.append(a) or expand(a, keep))
+    Q._necklace_weights.cache_clear()
+    Q.qt_borodin_lhs(pi, 8, 8)
+    assert len(calls) == len(distinct) < len(seqs)
+
+
 def test_qt_refined_rhs_at_equal_z_is_qt_borodin_rhs():
     # setting every z_k = z in the refined hook side gives the unrefined one
     for pi in ["10", "110", "1100"]:

@@ -20,7 +20,6 @@ WIRING = "an identity of the thesis still to be wired into a verify command"
 
 # function -> why it stays although only tests reach it
 TEST_ONLY = {
-    "borodin_refined_lhs": WIRING,
     "borodin_refined_rhs": WIRING,
     "qt_refined_lhs": WIRING,
     "qt_refined_rhs": WIRING,
