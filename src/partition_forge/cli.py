@@ -181,7 +181,7 @@ def check_refined_bijection(pi, max_weight, budget):
         for labels, gamma, _ in alcd_pairs(pi, max_weight)
     )
     rhs = series.accumulate((vec, 1) for vec in vecs if sum(vec) <= max_weight)
-    good = int(lhs == rhs)
+    good = int(lhs == rhs == cylindric.borodin_refined_rhs(pi, max_weight))
     return [record("%s:refined multiset" % pi, good, 1)]
 
 
@@ -349,8 +349,8 @@ def check_lambda_det(max_n, points, seed, budget):
     forms = {}
     for n in range(2, max_n + 1):
         good = 0
-        # level k's closed form has a monomial per interlacing pair, 2^(k(k-1)/2)
-        budget.spend(points + sum(2 ** (k * (k - 1) // 2) for k in range(1, n + 1)))
+        # level k has 2^(k(k-1)/2) monomials, each built once and evaluated per point
+        budget.spend((points + 1) * sum(2 ** (k * (k - 1) // 2) for k in range(1, n + 1)))
         forms[n] = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
         done = 0
         while done < points:

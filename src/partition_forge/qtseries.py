@@ -7,13 +7,13 @@ Omega[alphabet] is again such a factor product.
 """
 
 from functools import lru_cache
+from itertools import zip_longest
 
 from . import series
-from .partitions import arm, conjugate, is_horizontal_strip, leg
+from .partitions import arm, is_horizontal_strip, leg
 from .cylindric import (
     check_closed,
     check_profile,
-    cpp_refined_weight,
     cpp_weight,
     enumerate_cpps,
     hook_vectors,
@@ -70,9 +70,8 @@ def alphabet_q_minus_t(alphabet):
 
 
 def _strip_columns(la, mu):
-    lc = conjugate(la)
-    mc = tuple(conjugate(mu)) + (0,) * len(lc)
-    return [j for j in range(1, len(lc) + 1) if lc[j - 1] > mc[j - 1]]
+    """Columns of the strip la/mu: row i covers columns mu_i + 1 .. la_i."""
+    return {j for l, m in zip_longest(la, mu, fillvalue=0) for j in range(m + 1, l + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +88,7 @@ def _pieri_step(step, before, after):
     if not is_horizontal_strip(la, mu):
         raise AssertionError("%r/%r is not a horizontal strip" % (la, mu))
     on_strip = step == "1"
-    cols = set(_strip_columns(la, mu))
+    cols = _strip_columns(la, mu)
     sign = 1 if on_strip else -1
     pairs = []
     for shape, s in ((la, sign), (mu, -sign)):
@@ -161,41 +160,16 @@ def pochhammer_ratio(vec, max_weight, qt_cap):
     )
 
 
-def _graded_hook_side(pi, max_weight, qt_cap, grade, keep):
-    """prod_diag 1/(1 - z^v) * prod_boxes (t z^v; q)_inf / (z^v; q)_inf over
-    the hook vectors v, each graded as z^grade(v), truncated by keep."""
-    check_profile(pi)
-    diagonal, boxes = hook_vectors(pi, max_weight)
-    nvars = len(grade(diagonal[0])) + 2
-    total = series.product([(grade(v) + (0, 0), -1) for v in diagonal], nvars, keep)
-    for v in boxes:
-        total = series.mul(total, pochhammer_ratio(grade(v), max_weight, qt_cap), keep)
-    return total
-
-
 def qt_borodin_rhs(pi, max_weight, qt_cap):
-    """Hook side of the Macdonald identity, truncated."""
+    """Hook side of the Macdonald identity, truncated: prod_diag 1/(1 - z^h)
+    * prod_boxes (t z^h; q)_inf / (z^h; q)_inf over the hook lengths h."""
+    check_profile(pi)
     keep = lambda e: e[0] <= max_weight and e[1] + e[2] <= qt_cap
-    return _graded_hook_side(pi, max_weight, qt_cap, lambda v: (sum(v),), keep)
-
-
-def _graded_weights(pi, max_weight, qt_cap, grade):
-    """Sum of z^grade(c) times the expanded weight over all small enough c.
-
-    The CPPs are tallied by weight and grade first, so each distinct weight
-    is expanded once and added at each grade times the number of CPPs there."""
-    tally = {}
-    for seq in enumerate_cpps(pi, max_weight):
-        grades = tally.setdefault(frozenset(weight_function(pi, seq).items()), {})
-        z = grade(seq)
-        grades[z] = grades.get(z, 0) + 1
-    keep2 = series.degree_cap(qt_cap)
-    return series.accumulate(
-        (z + qt, n * c)
-        for fp, grades in tally.items()
-        for qt, c in fp_expand(dict(fp), keep2).items()
-        for z, n in grades.items()
-    )
+    diagonal, boxes = hook_vectors(pi, max_weight)
+    total = series.product([((sum(v), 0, 0), -1) for v in diagonal], 3, keep)
+    for v in boxes:
+        total = series.mul(total, pochhammer_ratio((sum(v),), max_weight, qt_cap), keep)
+    return total
 
 
 def qt_borodin_lhs(pi, max_weight, qt_cap):
@@ -213,24 +187,24 @@ def qt_borodin_lhs(pi, max_weight, qt_cap):
 @lru_cache(maxsize=None)
 def _necklace_weights(neck, max_weight, qt_cap):
     """qt_borodin_lhs over the greatest rotation neck, as a tuple of items
-    cached for the process."""
-    grade = lambda seq: (cpp_weight(seq),)
-    return tuple(_graded_weights(neck, max_weight, qt_cap, grade).items())
+    cached for the process.
+
+    The CPPs are tallied by weight and |c| first, so each distinct weight is
+    expanded once and added at each |c| times the number of CPPs there."""
+    tally = {}
+    for seq in enumerate_cpps(neck, max_weight):
+        sizes = tally.setdefault(frozenset(weight_function(neck, seq).items()), {})
+        w = cpp_weight(seq)
+        sizes[w] = sizes.get(w, 0) + 1
+    keep = series.degree_cap(qt_cap)
+    return tuple(series.accumulate(
+        ((w,) + qt, n * c)
+        for fp, sizes in tally.items()
+        for qt, c in fp_expand(dict(fp), keep).items()
+        for w, n in sizes.items()
+    ).items())
 
 
 def collapse_t_to_q(series3):
     """Set t = q in a (z, q, t) series."""
-    return series.substitute(series3, 2, 1)
-
-
-def qt_refined_lhs(pi, max_weight, qt_cap):
-    """Refined weights: exponent vector (|mu^1|, ..., |mu^T|) plus (q, t).
-
-    Not cached per necklace: rotating pi permutes the refined grade."""
-    return _graded_weights(pi, max_weight, qt_cap, cpp_refined_weight)
-
-
-def qt_refined_rhs(pi, max_weight, qt_cap):
-    T = len(pi)
-    keep = lambda e: sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
-    return _graded_hook_side(pi, max_weight, qt_cap, lambda v: v, keep)
+    return series.accumulate(((w, q + t, 0), c) for (w, q, t), c in series3.items())

@@ -86,14 +86,3 @@ def z_coefficients(factors, max_weight):
     total = product((((h,), power) for h, power in factors), 1, degree_cap(max_weight))
     return [total.get((w,), 0) for w in range(max_weight + 1)]
 
-
-def substitute(a, var, target_var):
-    """Fold variable `var` into `target_var` (e.g. set t = q)."""
-
-    def fold(e):
-        e = list(e)
-        e[target_var] += e[var]
-        e[var] = 0
-        return tuple(e)
-
-    return accumulate((fold(e), c) for e, c in a.items())

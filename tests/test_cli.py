@@ -16,6 +16,7 @@ from partition_forge import correspondences as corr
 from partition_forge import cylindric
 from partition_forge import lambdadet
 from partition_forge import qtseries
+from partition_forge import series
 
 
 def run_cli(args, **kw):
@@ -90,6 +91,23 @@ def test_qt_collapse_that_keeps_a_q_term_is_a_mismatch(tmp_path, monkeypatch, ca
     capsys.readouterr()
     bad = [r for r in read_report(out)["coefficients"] if not r["match"]]
     assert [(r["degree"], r["rhs"]) for r in bad] == [("10:collapse z^1", "1")]
+
+
+def test_refined_hook_side_missing_a_factor_is_a_mismatch(tmp_path, monkeypatch, capsys):
+    hook_side = cylindric.borodin_refined_rhs
+
+    def missing_a_box(pi, max_weight):
+        # cancel the factor 1/(1 - z^v) of the box of least hook
+        keep = series.degree_cap(max_weight)
+        v = cylindric.hook_vectors(pi, max_weight)[1][0]
+        return series.mul(hook_side(pi, max_weight), series.binomial_factor(v, 1, keep), keep)
+
+    monkeypatch.setattr(cylindric, "borodin_refined_rhs", missing_a_box)
+    out = str(tmp_path / "r.json")
+    assert run_cli(["verify-bijection", "--profile", "10", "--max-weight", "4", "--out", out]) == 1
+    capsys.readouterr()
+    bad = [r["degree"] for r in read_report(out)["coefficients"] if not r["match"]]
+    assert bad == ["10:refined multiset"]
 
 
 def test_instance_cap_exit_2(capsys):
@@ -517,11 +535,12 @@ def test_lambda_det_charges_each_closed_form_before_building_it(monkeypatch, cap
 
 
 def test_lambda_det_charges_each_corollary_before_building_it(monkeypatch, capsys):
-    # at one point per n, the numeric records charge 1 + 3, 1 + 11 and 1 + 75;
-    # each corollary charges |ASM(n)|: 2 and 7 for the one-parameter records,
-    # then 1, 2, 7 and 42 for the determinants, 153 in all
+    # at one point per n, the numeric records charge 2 x 3, 2 x 11 and 2 x 75
+    # (each monomial built once and evaluated at the point); each corollary
+    # charges |ASM(n)|: 2 and 7 for the one-parameter records, then 1, 2, 7
+    # and 42 for the determinants, 239 in all
     argv = ["verify-lambda-det", "--n", "4", "--points", "1", "--max-instances"]
-    assert cli.main(argv + ["153"]) == 0
+    assert cli.main(argv + ["239"]) == 0
     capsys.readouterr()
     build = lambdadet.robbins_rumsey_symbolic
 
@@ -531,8 +550,8 @@ def test_lambda_det_charges_each_corollary_before_building_it(monkeypatch, capsy
         return build(n)
 
     monkeypatch.setattr(lambdadet, "robbins_rumsey_symbolic", refuse_n_4)
-    assert cli.main(argv + ["152"]) == 2
-    assert capsys.readouterr().err == "error: instance cap exceeded: 153 > 152\n"
+    assert cli.main(argv + ["238"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 239 > 238\n"
 
 
 def test_record_prints_ints_and_fractions():

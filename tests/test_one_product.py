@@ -14,8 +14,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "partition_forge"
 # name -> (module, top-level definition) allowed to reference it
 ALLOWED = {
     "binomial_factor": set(),
-    # one series.mul per box with its Pochhammer ratio, shared by both (q,t) sides
-    "mul": {("qtseries", "_graded_hook_side")},
+    # one series.mul per box with its Pochhammer ratio
+    "mul": {("qtseries", "qt_borodin_rhs")},
 }
 
 

@@ -236,7 +236,10 @@ def test_weight_function_collapses_at_q_equals_t():
             w = Q.weight_function(pi, seq)
             assert Q.fp_is_one_at_q_equals_t(w)
             keep = series.degree_cap(6)
-            expanded = series.substitute(Q.fp_expand(w, keep), 1, 0)
+            # fold t into q
+            expanded = series.accumulate(
+                ((q + t, 0), c) for (q, t), c in Q.fp_expand(w, keep).items()
+            )
             assert all(sum(e) <= 6 for e in expanded)
             assert expanded == series.one(2)
 
@@ -314,15 +317,6 @@ def test_qt_collapse_matches_plain():
     assert {k for k in collapsed if k[1] != 0} == set()
 
 
-def test_qt_refined_small():
-    pi = "10"
-    lhs = Q.qt_refined_lhs(pi, 3, 4)
-    rhs = Q.qt_refined_rhs(pi, 3, 4)
-    lhs = {k: v for k, v in lhs.items()}
-    rhs = {k: v for k, v in rhs.items() if sum(k[:2]) <= 3}
-    assert lhs == rhs
-
-
 def _fold_weights(pi, max_weight, qt_cap, grade):
     # the plain left side: one expansion per CPP
     keep = series.degree_cap(qt_cap)
@@ -333,13 +327,27 @@ def _fold_weights(pi, max_weight, qt_cap, grade):
     )
 
 
+def _refined_hook_side(pi, max_weight, qt_cap):
+    # qt_borodin_rhs with z_1, ..., z_T kept apart: each factor is graded by
+    # its hook vector instead of the hook length
+    T = len(pi)
+    keep = lambda e: sum(e[:T]) <= max_weight and e[T] + e[T + 1] <= qt_cap
+    diagonal, boxes = Y.hook_vectors(pi, max_weight)
+    total = series.product([(v + (0, 0), -1) for v in diagonal], T + 2, keep)
+    for v in boxes:
+        total = series.mul(total, Q.pochhammer_ratio(v, max_weight, qt_cap), keep)
+    return total
+
+
+def test_qt_refined_small():
+    assert _fold_weights("10", 3, 4, Y.cpp_refined_weight) == _refined_hook_side("10", 3, 4)
+
+
 def test_left_sides_are_the_per_cpp_fold():
     for pi in mixed_profiles(5):
         for W, D in ((6, 6), (5, 2)):
             want = _fold_weights(pi, W, D, lambda seq: (Y.cpp_weight(seq),))
             assert Q.qt_borodin_lhs(pi, W, D) == want, (pi, W, D)
-            want = _fold_weights(pi, W, D, Y.cpp_refined_weight)
-            assert Q.qt_refined_lhs(pi, W, D) == want, (pi, W, D)
 
 
 def test_every_rotation_has_its_necklaces_left_side():
@@ -364,7 +372,7 @@ def test_qt_refined_rhs_at_equal_z_is_qt_borodin_rhs():
     # setting every z_k = z in the refined hook side gives the unrefined one
     for pi in ["10", "110", "1100"]:
         T = len(pi)
-        refined = Q.qt_refined_rhs(pi, 5, 3)
+        refined = _refined_hook_side(pi, 5, 3)
         at_z = series.accumulate(((sum(k[:T]),) + k[T:], c) for k, c in refined.items())
         assert at_z == Q.qt_borodin_rhs(pi, 5, 3), pi
 

@@ -20,9 +20,6 @@ WIRING = "an identity of the thesis still to be wired into a verify command"
 
 # function -> why it stays although only tests reach it
 TEST_ONLY = {
-    "borodin_refined_rhs": WIRING,
-    "qt_refined_lhs": WIRING,
-    "qt_refined_rhs": WIRING,
     "local_commutation_check": WIRING,
     "corollary_value": WIRING,
     "fp_is_one_at_q_equals_t": WIRING,
