@@ -346,11 +346,14 @@ def check_lambda_det(max_n, points, seed, budget):
     def grid(size):
         return [[rnd() for _ in range(size)] for _ in range(size)]
 
+    # level k has 2^(k(k-1)/2) monomials, each built once and evaluated per
+    # point; every n is charged before the first closed form is built
+    budget.spend((points + 1) * sum(
+        2 ** (k * (k - 1) // 2) for n in range(2, max_n + 1) for k in range(1, n + 1)
+    ))
     forms = {}
     for n in range(2, max_n + 1):
         good = 0
-        # level k has 2^(k(k-1)/2) monomials, each built once and evaluated per point
-        budget.spend((points + 1) * sum(2 ** (k * (k - 1) // 2) for k in range(1, n + 1)))
         forms[n] = [lambdadet.closed_form_symbolic(n, k) for k in range(1, n + 1)]
         done = 0
         while done < points:

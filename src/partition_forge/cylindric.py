@@ -34,6 +34,11 @@ def rotate_profile(pi):
     return pi[1:] + pi[0]
 
 
+def reverse_complement(pi):
+    """pi read backwards with '0' and '1' swapped."""
+    return pi[::-1].translate(str.maketrans("01", "10"))
+
+
 def necklace(pi):
     """The greatest rotation of pi, one name for its rotation class.
 
@@ -290,13 +295,26 @@ def borodin_lhs(pi, max_weight, base=None):
     |mu^1| + ... + |mu^T| is a cyclic sum, so (mu^0, ..., mu^T) over pi and
     (mu^1, ..., mu^T, mu^1) over rotate_profile(pi) weigh the same.  It is
     taken once per necklace(pi) and max_weight (see _necklace_count).  A
-    given base pins mu^0 in the caller's orientation, so that count is never
-    rotated and never cached.  Each call returns a fresh list.
+    given base pins mu^0, so that count is never rotated; it is taken once
+    per reverse-complement pair (see _pinned_count).  Each call returns a
+    fresh list.
     """
     check_profile(pi)
     if base is None:
         return list(_necklace_count(necklace(pi), max_weight))
-    return _closed_walks(pi, max_weight, [tuple(base)])
+    return list(_pinned_count(min(pi, reverse_complement(pi)), max_weight, tuple(base)))
+
+
+@lru_cache(maxsize=None)
+def _pinned_count(pi, max_weight, base):
+    """borodin_lhs(pi, max_weight, base), as a tuple cached for the process.
+
+    Read backwards, a CPP over pi is one over reverse_complement(pi): each
+    '1' step up becomes a '0' step down and the other way round, while mu^0
+    and the weight stay.  So the two profiles share one count, and
+    minimal_profile of a shape and of its conjugate are such a pair.
+    """
+    return tuple(_closed_walks(pi, max_weight, [base]))
 
 
 @lru_cache(maxsize=None)

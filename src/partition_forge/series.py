@@ -82,7 +82,19 @@ def product(factors, nvars, keep):
 
 
 def z_coefficients(factors, max_weight):
-    """Coefficients of z^0..z^max_weight in prod (1 - z^h)^power over (h, power)."""
-    total = product((((h,), power) for h, power in factors), 1, degree_cap(max_weight))
-    return [total.get((w,), 0) for w in range(max_weight + 1)]
+    """Coefficients of z^0..z^max_weight in prod (1 - z^h)^power over (h, power).
 
+    By the Euler recurrence rather than a fold: z f'/f = sum_m g_m z^m with
+    g_m = -sum_{h | m} power * h, so n f_n = sum_{m=1..n} g_m f_{n-m}, and the
+    division by n is exact because every f_n is an integer.
+    """
+    g = [0] * (max_weight + 1)
+    for h, power in factors:
+        if h < 1:
+            raise AssertionError("exponent %r < 1" % (h,))
+        for m in range(h, max_weight + 1, h):
+            g[m] -= power * h
+    f = [1]
+    for n in range(1, max_weight + 1):
+        f.append(sum(g[m] * f[n - m] for m in range(1, n + 1)) // n)
+    return f

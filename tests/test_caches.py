@@ -17,6 +17,7 @@ CACHES = (
     Q._pieri_step,
     L._layer_alphabet,
     Y._necklace_count,
+    Y._pinned_count,
     Q._necklace_tally,
     Q._necklace_weights,
 )
@@ -120,6 +121,12 @@ def test_one_count_and_one_tally_per_necklace():
     assert len({r["degree"].partition(":")[0] for r in records}) == 22
     sides = Q._necklace_weights.cache_info()
     assert sides.misses == sides.currsize == 7
+    # the 66 shapes of size 1..8 count 37 pinned profiles: a shape and its
+    # conjugate share one, by reading the CPPs backwards
+    records = run(["verify-stanley", "--n", "8", "--max-weight", "6"])
+    assert len({r["degree"].partition(":")[0] for r in records if r["degree"][0] == "("}) == 67
+    pinned = Y._pinned_count.cache_info()
+    assert pinned.misses == pinned.currsize == 37
 
 
 def test_nothing_is_cached_at_import():
@@ -146,6 +153,7 @@ print(json.dumps(sizes))
         "partition_forge.qtseries._pieri_step",
         "partition_forge.paths._layer_alphabet",
         "partition_forge.cylindric._necklace_count",
+        "partition_forge.cylindric._pinned_count",
         "partition_forge.qtseries._necklace_tally",
         "partition_forge.qtseries._necklace_weights",
     }

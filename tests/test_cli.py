@@ -522,16 +522,16 @@ def test_correspondences_charges_the_cauchy_matrices_before_listing(monkeypatch,
 
 def test_lambda_det_charges_each_closed_form_before_building_it(monkeypatch, capsys):
     # level k of the closed form has 2^(k(k-1)/2) monomials: 32,768 at k = 6
-    build = lambdadet.closed_form_symbolic
+    # and 2,097,152 at k = 7.  Every n is charged at once, (20 + 1) times the
+    # monomials of levels k <= n for n = 2..7, before the first one is built
+    def refuse(n, k):
+        raise AssertionError("closed_form_symbolic(%d, %d) called" % (n, k))
 
-    def refuse_the_largest(n, k):
-        if (n, k) == (6, 6):
-            raise AssertionError("closed_form_symbolic(6, 6) called")
-        return build(n, k)
-
-    monkeypatch.setattr(lambdadet, "closed_form_symbolic", refuse_the_largest)
+    monkeypatch.setattr(lambdadet, "closed_form_symbolic", refuse)
+    assert cli.main(["verify-lambda-det", "--n", "7"]) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: 45487554 > 1000000\n"
     assert cli.main(["verify-lambda-det", "--n", "6", "--max-instances", "5000"]) == 2
-    assert "instance cap exceeded" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: instance cap exceeded: 736155 > 5000\n"
 
 
 def test_lambda_det_charges_each_corollary_before_building_it(monkeypatch, capsys):

@@ -121,6 +121,11 @@ def test_a_cached_count_never_answers_a_pinned_one():
     assert Y._necklace_count.cache_info().currsize == 1
     assert Y.borodin_lhs("0110", 12, (1,)) == _listed_counts("0110", 12, (1,))
     assert Y.borodin_lhs("0011", 12, ()) == _listed_counts("0011", 12, ())
+    # a pinned count is shared with the reverse complement, never a rotation
+    for pi, base in (("0110", (1,)), ("110100", ()), ("110100", (2, 1)), ("10", (1,))):
+        rc, _ = _reverse_complement(pi, ())
+        for profile in (pi, rc):
+            assert Y.borodin_lhs(profile, 10, base) == _listed_counts(profile, 10, base), (profile, base)
     assert Y._necklace_count.cache_info().currsize == 1
 
 

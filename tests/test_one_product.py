@@ -3,11 +3,14 @@
 series.product is the only fold of binomial_factor through mul.  Outside
 series.py no module under src/ may reference binomial_factor, and mul only
 from the places listed in ALLOWED; a listed place that stops referencing it
-fails too, so the list can only shrink.
+fails too, so the list can only shrink.  The one-variable hook sides do
+not fold at all: series.z_coefficients expands them by a recurrence.
 """
 
 import ast
 from pathlib import Path
+
+from partition_forge import cli, series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "partition_forge"
 
@@ -41,3 +44,17 @@ def test_only_series_folds_factors():
                     found[name].add((path.stem, getattr(node, "name", None)))
     assert (SRC / "qtseries.py").exists()
     assert found == ALLOWED
+
+
+def test_one_variable_hook_sides_never_multiply(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("series.mul called")
+
+    monkeypatch.setattr(series, "mul", refuse)
+    for argv in (
+        ["verify-borodin", "--max-weight", "6"],
+        ["verify-stanley", "--n", "3"],
+        ["verify-macmahon"],
+    ):
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()

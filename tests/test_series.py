@@ -1,4 +1,5 @@
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from partition_forge import series
 
@@ -40,3 +41,26 @@ def test_z_coefficients_counts_partitions():
     assert parts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
     # (1 - z)^3 is a finite product, and higher factors leave it alone
     assert series.z_coefficients([(1, 3), (7, -2)], 5) == [1, -3, 3, -1, 0, 0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(-3, 3)), max_size=6),
+    st.integers(0, 12),
+)
+@example([], 0)
+@example([], 7)
+@example([(6, -2), (5, 3)], 4)
+def test_z_coefficients_is_the_plain_fold(pairs, max_weight):
+    # the recurrence against the fold it replaced, with factors above the
+    # weight and the empty product among the cases
+    want = plain_fold([((h,), p) for h, p in pairs], 1, series.degree_cap(max_weight))
+    got = series.z_coefficients(pairs, max_weight)
+    assert got == [want.get((w,), 0) for w in range(max_weight + 1)]
+    assert all(type(c) is int for c in got)
+
+
+def test_z_coefficients_refuses_a_zero_exponent():
+    for h in (0, -1):
+        with pytest.raises(AssertionError):
+            series.z_coefficients([(1, -1), (h, 2)], 5)
