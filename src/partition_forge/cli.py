@@ -7,8 +7,10 @@ match, 1 a mismatch was found, 2 usage or configuration error.
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -531,8 +533,8 @@ def resolve(args, bounds, name):
 
     args itself is left as parsed, because the report echoes only the bounds
     that were given.  A missing REQUIRED bound, a bound the command does not
-    read, a negative integer bound or cap, fewer than one point and a
-    malformed profile are usage errors.
+    read, a negative integer bound or cap, fewer than one point, a
+    malformed profile and an --out that cannot be written are usage errors.
     """
     b = argparse.Namespace(**vars(args))
     for bound, kind in BOUNDS.items():
@@ -556,7 +558,24 @@ def resolve(args, bounds, name):
             cylindric.check_profile(b.profile)
         except AssertionError as e:
             usage_error(str(e))
+    if args.out:
+        check_out(args.out)
     return b
+
+
+def check_out(path):
+    """Refuse an --out target that cannot be written: a directory, a file in
+    a missing directory, or one that is not writable.  Nothing is created."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    usage_error("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def build_tasks(args, budget):

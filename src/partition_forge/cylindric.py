@@ -268,16 +268,6 @@ def psi(pi, gamma, labels):
     return validate_cpp(pi, seq)
 
 
-def local_commutation_check(pi, seq, i, j, mi, mj):
-    """Insertions at two disjoint valleys commute."""
-    if i == j or not all(1 <= k < len(pi) and pi[k - 1 : k + 1] == "01" for k in (i, j)):
-        raise AssertionError("no valleys at %d and %d of %r" % (i, j, pi))
-    s1 = up_step(up_step(seq, i, mi), j, mj)
-    if s1 != up_step(up_step(seq, j, mj), i, mi):
-        raise AssertionError("insertions at %d and %d do not commute" % (i, j))
-    return s1
-
-
 # ---------------------------------------------------------------------------
 # the unrefined product identity
 

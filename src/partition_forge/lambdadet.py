@@ -227,10 +227,6 @@ def corollary_symbolic(n, rename=_identity):
     return series.accumulate(kv for term in terms for kv in term.items())
 
 
-def corollary_value(n, lam, mu, m):
-    return lp_eval(corollary_symbolic(n), _point(lam, mu, m))
-
-
 def one_parameter(v):
     """Robbins and Rumsey's specialization as a renaming: every lam entry
     becomes ("l", 0, 0), mu and y become 1, and x is kept."""

@@ -70,14 +70,6 @@ def minimal_profile(la):
     return profile(la, len(la), la[0])
 
 
-def partition_of_profile(p):
-    """Partition cut out by a profile string; inverse of profile()."""
-    zpos = [i for i, b in enumerate(p, 1) if b == "0"]
-    n = len(zpos)
-    la = tuple(zpos[n - k] - (n - k + 1) for k in range(1, n + 1))
-    return tuple(a for a in la if a > 0)
-
-
 def is_horizontal_strip(la, mu):
     """Whether la/mu is a horizontal strip (at most one box per column): mu
     interlaces la, la_{i+1} <= mu_i <= la_i for every i."""

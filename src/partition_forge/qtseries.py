@@ -34,16 +34,6 @@ def fp_validate(a):
     return a
 
 
-def fp_is_one_at_q_equals_t(a):
-    """Whether the product collapses to 1 after setting t = q."""
-    return not series.accumulate((n + m, e) for (n, m), e in a.items())
-
-
-def fp_set_q_zero(a):
-    """Substitute q = 0; factors with a positive q-exponent become 1."""
-    return {k: e for k, e in a.items() if k[0] == 0}
-
-
 def fp_expand(a, keep):
     """Truncated series in (q, t)."""
     return series.product(a.items(), 2, keep)

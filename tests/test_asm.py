@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -35,13 +37,13 @@ def test_validators_raise_under_python_O():
 from math import factorial
 import partition_forge.asm as A
 from partition_forge.asm import asm_count_formula, validate_asm
-from partition_forge.cylindric import check_profile, local_commutation_check, validate_alcd, validate_cpp
+from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
-from partition_forge.paths import paths_to_cpp
 from partition_forge.qtseries import fp_validate
 from partition_forge.series import binomial_factor, degree_cap
+from path_model import local_commutation_check, paths_to_cpp
 
 def inexact_asm_count():
     A.factorial = lambda k: k + 2  # makes the product quotient 18 / 20 at n = 2
@@ -81,7 +83,14 @@ for check in (
         continue
     raise SystemExit("accepted")
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    tests = str(Path(__file__).resolve().parent)  # where path_model lives
+    path = os.pathsep.join(filter(None, [tests, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -353,6 +353,20 @@ def test_listing_paths_charge_before_they_list(monkeypatch, capsys):
     assert calls == []
 
 
+def test_an_unusable_out_is_refused_before_any_work(monkeypatch, capsys, tmp_path):
+    def refuse(*args):
+        raise RuntimeError("work started")
+
+    monkeypatch.setattr(cli, "check_qt_borodin", refuse)
+    monkeypatch.setattr(cli.partitions, "partitions_upto", refuse)
+    monkeypatch.setattr(series, "z_coefficients", refuse)
+    for out, reason in ((tmp_path / "missing" / "r.json", "No such file"), (tmp_path, "Is a directory")):
+        for argv in (["verify-qt-borodin"], ["enumerate", "--max-weight", "2"]):
+            assert cli.main(argv + ["--out", str(out)]) == 2, (argv, out)
+            assert "error: cannot write %s: %s" % (out, reason) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_requires_profile(capsys):
     code = run_cli(["enumerate", "--kind", "cpps"])
     capsys.readouterr()

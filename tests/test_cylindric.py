@@ -6,6 +6,7 @@ from partition_forge import cylindric as Y
 from partition_forge import partitions as P
 from partition_forge import series
 from partition_forge.cli import mixed_profiles
+from path_model import local_commutation_check
 
 EXAMPLE_PI = "10100"
 EXAMPLE_SEQ = (
@@ -273,7 +274,7 @@ def test_local_commutation():
     for seq in Y.enumerate_cpps(pi, 3):
         for mi in range(3):
             for mj in range(3):
-                Y.local_commutation_check(pi, seq, 1, 3, mi, mj)
+                local_commutation_check(pi, seq, 1, 3, mi, mj)
 
 
 def test_up_step_inverts_down_step():

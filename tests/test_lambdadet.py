@@ -126,7 +126,7 @@ def test_one_parameter_specialization():
         point = {("x", i, j): v for i, row in enumerate(m, 1) for j, v in enumerate(row, 1)}
         point[("l", 0, 0)] = lv
         assert apex == lp_eval(D.robbins_rumsey_symbolic(n), point)
-        assert apex == D.corollary_value(n, lam, mu, m)
+        assert apex == lp_eval(D.corollary_symbolic(n), D._point(lam, mu, m))
 
 
 def test_determinant_specialization():

@@ -3,6 +3,7 @@ from itertools import zip_longest
 from hypothesis import given, strategies as st
 
 from partition_forge import partitions as P
+from path_model import partition_of_profile
 
 
 def parts(max_len=6, max_part=8):
@@ -27,10 +28,10 @@ def test_profile_arm_leg_example():
 
 
 def test_partition_of_profile_examples():
-    assert P.partition_of_profile("110100110") == (5, 3, 3, 2)
-    assert P.partition_of_profile("0000110100110111") == (5, 3, 3, 2)
-    assert P.partition_of_profile("") == ()
-    assert P.partition_of_profile("0011") == ()
+    assert partition_of_profile("110100110") == (5, 3, 3, 2)
+    assert partition_of_profile("0000110100110111") == (5, 3, 3, 2)
+    assert partition_of_profile("") == ()
+    assert partition_of_profile("0011") == ()
 
 
 def test_conjugate_small():
@@ -40,7 +41,7 @@ def test_conjugate_small():
 
 @given(parts())
 def test_profile_round_trip(la):
-    assert P.partition_of_profile(P.minimal_profile(la)) == la
+    assert partition_of_profile(P.minimal_profile(la)) == la
 
 
 @given(parts())
@@ -49,7 +50,7 @@ def test_generalized_profile_round_trip(la):
     ones = (la[0] if la else 0) + 3
     p = P.profile(la, zeros, ones)
     assert len(p) == zeros + ones
-    assert P.partition_of_profile(p) == la
+    assert partition_of_profile(p) == la
 
 
 @given(parts())

@@ -1,33 +1,20 @@
-"""Ratchet on library functions that only tests reach.
+"""Ratchet: every top-level definition under src/ is reached from a command.
 
-Every top-level function under src/ must be referenced from src/ or bench/
-outside its own body (a string constant under bench/ counts, as the tracer
-names the functions it wraps that way), unless TEST_ONLY lists it with the
-reason it stays.  An entry that is referenced again, or whose function is
-gone, fails too, so the list can only shrink.  References are matched by bare
-name, so no two modules may define a top-level function of the same name: a
-call of one would count as reaching the other.
+The walk starts at cli.main and at cli.py's command tables (COMMANDS and
+KINDS).  A top-level function, class or assigned name of any module under
+src/ counts as reached when a reached body names it, so a helper that only
+unreached code calls is unreached too.  There is no allow-list: an oracle
+that only tests need lives under tests/.  References are matched by bare
+name, so no two modules may define a top-level name twice: a call of one
+would count as reaching the other.
 """
 
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "partition_forge"
-BENCH = ROOT / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "partition_forge"
 
-WIRING = "an identity of the thesis still to be wired into a verify command"
-
-# function -> why it stays although only tests reach it
-TEST_ONLY = {
-    "local_commutation_check": WIRING,
-    "corollary_value": WIRING,
-    "fp_is_one_at_q_equals_t": WIRING,
-    "fp_set_q_zero": WIRING,
-    "cpp_to_paths": "the path-model oracle of dc_alphabet",
-    "classify_cubes": "the path-model oracle of dc_alphabet",
-    "paths_to_cpp": "shows that cpp_to_paths encodes each CPP faithfully",
-}
+ROOTS = ("main", "COMMANDS", "KINDS")
 
 
 def names_in(node):
@@ -40,48 +27,51 @@ def names_in(node):
             yield sub.name
 
 
-def modules():
+def definitions():
+    """(module, name, node) for each top-level function, class and assigned
+    name under src/."""
     for path in sorted(SRC.glob("*.py")):
-        yield path.stem, ast.parse(path.read_text()).body
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name, node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield path.stem, target.id, node
 
 
-def scan():
-    """Top-level functions under src/ and the names referenced outside them."""
-    defined, referenced = set(), set()
-    for _, body in modules():
-        for node in body:
-            if isinstance(node, ast.FunctionDef):
-                defined.add(node.name)
-                # a call from its own body does not reach a function
-                referenced.update(n for n in names_in(node) if n != node.name)
-            else:
-                referenced.update(names_in(node))
-    for path in sorted(BENCH.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        referenced.update(names_in(tree))
-        for sub in ast.walk(tree):
-            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-                referenced.add(sub.value.rpartition(".")[2])
-    return defined, referenced
+def unreached(bodies, roots):
+    """The names in bodies (name -> node) that no walk from roots reaches."""
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in bodies and name not in reached:
+            reached.add(name)
+            todo.extend(names_in(bodies[name]))
+    return set(bodies) - reached
 
 
-def test_every_function_is_reached_or_listed():
-    defined, referenced = scan()
-    assert "enumerate_cpps" in defined and "enumerate_cpps" in referenced
-    unreached = defined - referenced
-    assert unreached - set(TEST_ONLY) == set()
+def test_every_definition_is_reached_from_a_command():
+    bodies = {name: node for _, name, node in definitions()}
+    assert set(ROOTS) <= set(bodies) and "enumerate_cpps" in bodies
+    assert unreached(bodies, ROOTS) == set()
+
+
+def test_a_helper_named_only_by_unreached_code_is_unreached():
+    bodies = {
+        name: ast.parse(source).body[0]
+        for name, source in {
+            "main": "def main():\n    return h()",
+            "h": "def h():\n    return 1",
+            "g": "def g():\n    return f()",
+            "f": "def f():\n    return f()",
+        }.items()
+    }
+    assert unreached(bodies, ["main"]) == {"f", "g"}
 
 
 def test_no_two_modules_define_one_function_name():
     where = {}
-    for module, body in modules():
-        for node in body:
-            if isinstance(node, ast.FunctionDef):
-                where.setdefault(node.name, []).append(module)
+    for module, name, _ in definitions():
+        where.setdefault(name, []).append(module)
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
-
-
-def test_test_only_list_can_only_shrink():
-    defined, referenced = scan()
-    assert set(TEST_ONLY) - defined == set()
-    assert set(TEST_ONLY) & referenced == set()
