@@ -408,6 +408,4 @@ def borodin_refined_lhs(pi, max_weight):
 
 def borodin_refined_rhs(pi, max_weight):
     diagonal, boxes = hook_vectors(pi, max_weight)
-    return series.product(
-        [(v, -1) for v in diagonal + boxes], len(pi), series.degree_cap(max_weight)
-    )
+    return series.product_by_degree([(v, -1) for v in diagonal + boxes], len(pi), max_weight)

@@ -34,9 +34,9 @@ def fp_validate(a):
     return a
 
 
-def fp_expand(a, keep):
-    """Truncated series in (q, t)."""
-    return series.product(a.items(), 2, keep)
+def fp_expand(a, cap):
+    """Series in (q, t) truncated at total degree <= cap."""
+    return series.product_by_degree(a.items(), 2, cap)
 
 
 def omega(alphabet):
@@ -132,21 +132,21 @@ def _necklace_tally(neck, max_weight):
 # the (q, t) product identity
 
 
-def qbinomial_column(k, keep):
-    """prod_{i=1..k} (1 - t q^(i-1)) / (1 - q^i), truncated in (q, t)."""
-    return series.product(
-        (pair for i in range(1, k + 1) for pair in (((i - 1, 1), 1), ((i, 0), -1))), 2, keep
+def qbinomial_column(k, cap):
+    """prod_{i=1..k} (1 - t q^(i-1)) / (1 - q^i), truncated at (q, t)-degree
+    <= cap."""
+    return series.product_by_degree(
+        (pair for i in range(1, k + 1) for pair in (((i - 1, 1), 1), ((i, 0), -1))), 2, cap
     )
 
 
 def pochhammer_ratio(vec, max_weight, qt_cap):
     """(t z^vec; q)_inf / (z^vec; q)_inf in (z_1, ..., z_n, q, t), truncated
     at z-degree max_weight and (q, t)-degree qt_cap."""
-    keep2 = series.degree_cap(qt_cap)
     return series.accumulate(
         (tuple(k * v for v in vec) + qt, c)
         for k in range(max_weight // sum(vec) + 1)
-        for qt, c in qbinomial_column(k, keep2).items()
+        for qt, c in qbinomial_column(k, qt_cap).items()
     )
 
 
@@ -186,11 +186,10 @@ def _necklace_weights(neck, max_weight, qt_cap):
         sizes = tally.setdefault(frozenset(weight_function(neck, seq).items()), {})
         w = cpp_weight(seq)
         sizes[w] = sizes.get(w, 0) + 1
-    keep = series.degree_cap(qt_cap)
     return tuple(series.accumulate(
         ((w,) + qt, n * c)
         for fp, sizes in tally.items()
-        for qt, c in fp_expand(dict(fp), keep).items()
+        for qt, c in fp_expand(dict(fp), qt_cap).items()
         for w, n in sizes.items()
     ).items())
 

@@ -42,7 +42,7 @@ from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
 from partition_forge.qtseries import fp_validate
-from partition_forge.series import binomial_factor, degree_cap
+from partition_forge.series import binomial_factor, product_by_degree
 from path_model import local_commutation_check, paths_to_cpp
 
 def inexact_asm_count():
@@ -74,7 +74,10 @@ for check in (
     lambda: fp_validate({(0, 0): 1}),
     lambda: paths_to_cpp("10", [(1, "10")]),
     lambda: local_commutation_check("10", ((), (), ()), 1, 1, 0, 0),
-    lambda: binomial_factor((0,), -1, degree_cap(3)),
+    lambda: binomial_factor((0,), -1, lambda e: sum(e) <= 3),
+    lambda: product_by_degree([((0, 0), -1)], 2, 3),
+    lambda: product_by_degree([((2, -1), 1)], 2, 3),
+    lambda: product_by_degree([((1,), 1)], 2, 3),
     inexact_asm_count,
 ):
     try:

@@ -98,7 +98,7 @@ def test_refined_hook_side_missing_a_factor_is_a_mismatch(tmp_path, monkeypatch,
 
     def missing_a_box(pi, max_weight):
         # cancel the factor 1/(1 - z^v) of the box of least hook
-        keep = series.degree_cap(max_weight)
+        keep = lambda e: sum(e) <= max_weight
         v = cylindric.hook_vectors(pi, max_weight)[1][0]
         return series.mul(hook_side(pi, max_weight), series.binomial_factor(v, 1, keep), keep)
 

@@ -1,16 +1,20 @@
 """Ratchet on who expands factor products by hand.
 
-series.product is the only fold of binomial_factor through mul.  Outside
-series.py no module under src/ may reference binomial_factor, and mul only
-from the places listed in ALLOWED; a listed place that stops referencing it
-fails too, so the list can only shrink.  The one-variable hook sides do
-not fold at all: series.z_coefficients expands them by a recurrence.
+series.product is the only fold of binomial_factor through mul, and it
+serves only the (q, t) hook side, whose truncation mixes two grades.
+Outside series.py no module under src/ may reference binomial_factor, and
+mul only from the places listed in ALLOWED; a listed place that stops
+referencing it fails too, so the list can only shrink.  No product
+truncated by total degree folds at all: series.product_by_degree expands
+it by a recurrence, and the tests below run the one-variable hook
+sides, the (q, t) left side, the q-binomial columns and the refined hook
+side with mul refused.
 """
 
 import ast
 from pathlib import Path
 
-from partition_forge import cli, series
+from partition_forge import cli, qtseries, series
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "partition_forge"
 
@@ -46,11 +50,15 @@ def test_only_series_folds_factors():
     assert found == ALLOWED
 
 
-def test_one_variable_hook_sides_never_multiply(monkeypatch, capsys):
+def refuse_mul(monkeypatch):
     def refuse(*args):
         raise AssertionError("series.mul called")
 
     monkeypatch.setattr(series, "mul", refuse)
+
+
+def test_one_variable_hook_sides_never_multiply(monkeypatch, capsys):
+    refuse_mul(monkeypatch)
     for argv in (
         ["verify-borodin", "--max-weight", "6"],
         ["verify-stanley", "--n", "3"],
@@ -58,3 +66,12 @@ def test_one_variable_hook_sides_never_multiply(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
         capsys.readouterr()
+
+
+def test_products_by_total_degree_never_multiply(monkeypatch, capsys):
+    refuse_mul(monkeypatch)
+    qtseries._necklace_weights.cache_clear()
+    assert qtseries.qt_borodin_lhs("110100", 8, 8)
+    assert qtseries.qbinomial_column(4, 6)
+    argv = ["verify-bijection", "--profile", "10", "--max-weight", "4"]
+    assert cli.main(argv) == 0, capsys.readouterr().err

@@ -236,10 +236,10 @@ def test_weight_function_collapses_at_q_equals_t():
         for seq in Y.enumerate_cpps(pi, 4):
             w = Q.weight_function(pi, seq)
             assert not series.accumulate((n + m, e) for (n, m), e in w.items())
-            keep = series.degree_cap(6)
-            # fold t into q
+            # the plain fold, not fp_expand, then t folded into q
             expanded = series.accumulate(
-                ((q + t, 0), c) for (q, t), c in Q.fp_expand(w, keep).items()
+                ((q + t, 0), c)
+                for (q, t), c in series.product(w.items(), 2, lambda e: sum(e) <= 6).items()
             )
             assert all(sum(e) <= 6 for e in expanded)
             assert expanded == series.one(2)
@@ -320,12 +320,13 @@ def test_qt_collapse_matches_plain():
 
 
 def _fold_weights(pi, max_weight, qt_cap, grade):
-    # the plain left side: one expansion per CPP
-    keep = series.degree_cap(qt_cap)
+    # the plain left side: one expansion per CPP, by the fold rather than
+    # fp_expand's recurrence
+    keep = lambda e: sum(e) <= qt_cap
     return series.accumulate(
         (grade(seq) + qt, c)
         for seq in Y.enumerate_cpps(pi, max_weight)
-        for qt, c in Q.fp_expand(Q.weight_function(pi, seq), keep).items()
+        for qt, c in series.product(Q.weight_function(pi, seq).items(), 2, keep).items()
     )
 
 
@@ -364,7 +365,7 @@ def test_each_distinct_weight_is_expanded_once(monkeypatch):
     distinct = {frozenset(Q.weight_function(pi, seq).items()) for seq in seqs}
     calls = []
     expand = Q.fp_expand
-    monkeypatch.setattr(Q, "fp_expand", lambda a, keep: calls.append(a) or expand(a, keep))
+    monkeypatch.setattr(Q, "fp_expand", lambda a, cap: calls.append(a) or expand(a, cap))
     Q._necklace_weights.cache_clear()
     Q.qt_borodin_lhs(pi, 8, 8)
     assert len(calls) == len(distinct) < len(seqs)
