@@ -4,28 +4,20 @@ The order-n diamond consists of the unit cells whose four corners (x, y)
 satisfy |x| + |y| <= n + 1.  A domino is a triple (dir, x, y) with dir "h"
 covering cells (x, y), (x+1, y) and dir "v" covering (x, y), (x, y+1).
 
-Marking the interior lattice vertices of one parity with their edge degrees
-in the tiling picture yields an n by n sign matrix; the other parity, with
-the tiling extended to the whole plane by horizontal bricks, yields an
-(n+1) by (n+1) one.
+A domino's middle edge is the unit edge between its two cells.  Each entry
+of the pair reads a lattice vertex with |x| + |y| <= n and the number m of
+dominoes whose middle edge meets it: the vertices of one parity give the
+n by n sign matrix with entries m - 1, those of the other the (n+1) by (n+1)
+one with entries 1 - m (Elkies, Kuperberg, Larsen and Propp 1992).
 """
 
 from functools import lru_cache
 
 from .asm import validate_asm
 
-A_DEGREE = {3: 0, 2: 1, 4: -1}
-B_DEGREE = {3: 0, 4: 1, 2: -1}
-
-
-def in_region(n, x, y):
-    return abs(x) + abs(y) <= n + 1
-
 
 def cell_in_region(n, x, y):
-    return all(
-        in_region(n, x + dx, y + dy) for dx in (0, 1) for dy in (0, 1)
-    )
+    return max(abs(x), abs(x + 1)) + max(abs(y), abs(y + 1)) <= n + 1
 
 
 def diamond_cells(n):
@@ -59,34 +51,13 @@ def validate_tiling(n, tiling):
     return frozenset(tiling)
 
 
-def _row_span(n, y):
-    """Exterior brick phase: region cells of row y occupy [-t, t)."""
-    t = max(n - y, 0) if y >= 0 else max(n + 1 + y, 0)
-    return t
-
-
-def vertical_edge_crack(n, tiling, x, y):
-    """Whether the edge from (x, y) to (x, y+1) is drawn in the picture."""
-    if cell_in_region(n, x - 1, y) and cell_in_region(n, x, y):
-        return ("h", x - 1, y) not in tiling
-    t = _row_span(n, y)
-    if x >= t:
-        return not (x > t and (x - t - 1) % 2 == 0)
-    if x <= -t:
-        return not (x < -t and (-t - 1 - x) % 2 == 0)
-    raise AssertionError((x, y))
-
-
-def horizontal_edge_crack(n, tiling, x, y):
-    return ("v", x, y - 1) not in tiling
-
-
-def vertex_degree(n, tiling, x, y):
+def middle_edges(tiling, x, y):
+    """How many dominoes of the tiling have their middle edge at (x, y)."""
     return (
-        int(vertical_edge_crack(n, tiling, x, y))
-        + int(vertical_edge_crack(n, tiling, x, y - 1))
-        + int(horizontal_edge_crack(n, tiling, x, y))
-        + int(horizontal_edge_crack(n, tiling, x - 1, y))
+        (("h", x - 1, y) in tiling)
+        + (("h", x - 1, y - 1) in tiling)
+        + (("v", x, y - 1) in tiling)
+        + (("v", x - 1, y - 1) in tiling)
     )
 
 
@@ -103,10 +74,10 @@ def tiling_to_asms(n, tiling):
     tiling = validate_tiling(n, tiling)
     return tuple(
         validate_asm([
-            [marks[vertex_degree(n, tiling, *vertex(k, r, c))] for c in range(1, k + 1)]
+            [sign * (middle_edges(tiling, *vertex(k, r, c)) - 1) for c in range(1, k + 1)]
             for r in range(1, k + 1)
         ])
-        for k, marks in ((n, A_DEGREE), (n + 1, B_DEGREE))
+        for k, sign in ((n, 1), (n + 1, -1))
     )
 
 
@@ -215,20 +186,20 @@ def tilings_at(n, ranks):
 
 
 def asms_to_tiling(n, a, b):
-    """Invert the degree marking in one walk over _moves(n).
+    """Invert the middle-edge marking in one walk over _moves(n).
 
-    At the first uncovered cell (x, y), every edge at its corner (x+1, y) is
-    decided except the one that ("h", x, y) removes.  When both dominoes fit,
-    that corner is interior, so its marked degree picks one.  A pair that
-    marks no tiling fails the final check.
+    At the first uncovered cell (x, y), of the dominoes with a middle edge at
+    its corner (x+1, y) only ("h", x, y) is undecided.  When both dominoes
+    fit, that corner is marked, and ("h", x, y) is taken exactly when the
+    corner's marked count is one more than the dominoes placed there so far.
+    A pair that marks no tiling fails the final check.
     """
     a, b = validate_asm(a), validate_asm(b)
     target = {}
-    for m, marks in ((a, A_DEGREE), (b, B_DEGREE)):
-        degree = {v: k for k, v in marks.items()}
+    for m, sign in ((a, 1), (b, -1)):
         for r, row in enumerate(m, 1):
             for c, v in enumerate(row, 1):
-                target[vertex(len(m), r, c)] = degree[v]
+                target[vertex(len(m), r, c)] = sign * v + 1
     moves = _moves(n)
     tiling = set()
     idx = mask = 0
@@ -243,7 +214,7 @@ def asms_to_tiling(n, a, b):
         d, off = free[0]
         if len(free) == 2:
             corner = (d[1] + 1, d[2])
-            if vertex_degree(n, tiling | {d}, *corner) != target.get(corner):
+            if middle_edges(tiling, *corner) + 1 != target.get(corner):
                 d, off = free[1]
         tiling.add(d)
         mask |= 1 | 1 << off

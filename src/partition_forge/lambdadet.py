@@ -60,14 +60,20 @@ def _identity(v):
 
 
 def lp_eval(a, point):
-    powers = {}  # (variable, exponent) -> its value at point, once per call
+    """a at point, one integer numerator and denominator per monomial."""
+    powers = {}  # (variable, exponent) -> its value at point as (num, den)
     total = Fraction(0)
     for k, c in a.items():
+        num = den = 1
         for ve in k:
             if ve not in powers:
-                powers[ve] = Fraction(point[ve[0]]) ** ve[1]
-            c = c * powers[ve]
-        total += c
+                v, e = Fraction(point[ve[0]]), ve[1]
+                if e < 0:
+                    v, e = 1 / v, -e
+                powers[ve] = v.numerator ** e, v.denominator ** e
+            top, bottom = powers[ve]
+            num, den = num * top, den * bottom
+        total += Fraction(c * num, den)
     return total
 
 

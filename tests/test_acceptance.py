@@ -140,3 +140,11 @@ def test_lambda_determinant_desk_scale():
     apex = lambdadet.symbolic_pyramid(4, lambdadet.one_parameter)[4][0][0]
     assert apex == cli._robbins_rumsey_symbolic(4)
     assert time.time() - start < 120
+
+
+def test_lambda_determinant_stretch_bound():
+    start = time.time()
+    # numeric for n = 2..5, symbolic and one-parameter for n = 2, 3,
+    # determinant for n = 1..5
+    verified(["verify-lambda-det", "--n", "5", "--seed", "3"], 4 + 2 + 2 + 5)
+    assert time.time() - start < 10

@@ -107,6 +107,21 @@ def test_round_trip_sample_n5(tilings5):
         assert Z.asms_to_tiling(5, a, b) == t
 
 
+def test_decoder_accepts_exactly_the_marked_pairs():
+    # every pair in ASM(n) x ASM(n+1) decodes to a tiling marking back to it,
+    # or is refused
+    for n, count in enumerate((1, 2, 8, 64)):
+        decoded = 0
+        for a, b in product(A.enumerate_asms(n), A.enumerate_asms(n + 1)):
+            try:
+                t = Z.asms_to_tiling(n, a, b)
+            except AssertionError:
+                continue
+            assert Z.tiling_to_asms(n, t) == (a, b)
+            decoded += 1
+        assert decoded == count, n
+
+
 def flips(t):
     """The tilings one elementary flip from t: two parallel dominoes that
     cover a two-by-two block, turned the other way."""

@@ -360,7 +360,12 @@ def test_an_unusable_out_is_refused_before_any_work(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(cli, "check_qt_borodin", refuse)
     monkeypatch.setattr(cli.partitions, "partitions_upto", refuse)
     monkeypatch.setattr(series, "z_coefficients", refuse)
-    for out, reason in ((tmp_path / "missing" / "r.json", "No such file"), (tmp_path, "Is a directory")):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    for out, reason in (
+        (tmp_path / "missing" / "r.json", "No such file"),
+        (tmp_path, "Is a directory"),
+        (tmp_path / "r.json", "Permission denied"),
+    ):
         for argv in (["verify-qt-borodin"], ["enumerate", "--max-weight", "2"]):
             assert cli.main(argv + ["--out", str(out)]) == 2, (argv, out)
             assert "error: cannot write %s: %s" % (out, reason) in capsys.readouterr().err

@@ -38,6 +38,31 @@ def test_rename_merges_drops_and_cancels():
     assert lp_rename(lp_monomial({c: 3}, 7), merged.get) == lp_const(7)
 
 
+def test_eval_matches_a_fraction_product_per_variable():
+    rng = random.Random(5)
+    names = [("v", i, 1) for i in range(4)]
+
+    def value():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))
+
+    for _ in range(60):
+        poly = {}
+        for _ in range(rng.randint(0, 6)):
+            exps = {v: rng.randint(-4, 4) for v in rng.sample(names, rng.randint(0, 4))}
+            coeff = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+            poly = lp_add(poly, lp_monomial(exps, coeff))
+        point = {v: value() for v in names}
+        oracle = Fraction(0)
+        for k, c in poly.items():
+            for v, e in k:
+                c = c * point[v] ** e
+            oracle += c
+        assert lp_eval(poly, point) == oracle
+    assert lp_eval(lp_monomial({names[0]: -2}, 3), {names[0]: Fraction(-2, 5)}) == Fraction(75, 4)
+    with pytest.raises(ZeroDivisionError):
+        lp_eval(lp_monomial({names[0]: -1}), {names[0]: 0})
+
+
 def test_base_case_two_terms():
     # the 2 by 2 apex is (mu X11 X22 + lam X12 X21) / Y22
     n = 2
