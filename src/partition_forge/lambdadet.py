@@ -19,11 +19,7 @@ from . import series
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials and rational functions
-
-
-def lp_const(c):
-    return {(): c} if c else {}
+# Laurent polynomials
 
 
 def _key(pairs):
@@ -77,31 +73,21 @@ def lp_eval(a, point):
     return total
 
 
-class Rat(object):
-    """Quotient of two Laurent polynomials, compared by cross multiplying."""
-
-    def __init__(self, num, den=None):
-        self.num = num
-        self.den = lp_const(1) if den is None else den
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
+class Laurent(dict):
+    """A Laurent polynomial dict with + and *; it divides only by a monic
+    monomial, which is all the symbolic pyramid needs up to n = 3."""
 
     def __add__(self, other):
-        return Rat(
-            lp_add(lp_mul(self.num, other.den), lp_mul(other.num, self.den)),
-            lp_mul(self.den, other.den),
-        )
+        return Laurent(lp_add(self, other))
 
     def __mul__(self, other):
-        return Rat(lp_mul(self.num, other.num), lp_mul(self.den, other.den))
+        return Laurent(lp_mul(self, other))
 
     def __truediv__(self, other):
-        if not other.num:
-            raise ZeroDivisionError("division by zero")
-        return Rat(lp_mul(self.num, other.den), lp_mul(self.den, other.num))
-
-    def __eq__(self, other):
-        return lp_mul(self.num, other.den) == lp_mul(other.num, self.den)
+        if list(other.values()) != [1]:
+            raise AssertionError("divisor is not a monic monomial: %r" % (other,))
+        (k,) = other
+        return self * {tuple((v, -e) for v, e in k): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +97,9 @@ class Rat(object):
 def pyramid(n, lam, mu, x, y):
     """All levels of the recurrence; level k is (n+1-k) square.
 
-    Entries may be Fractions or Rat instances; division by an exact zero at
-    an intermediate entry raises.
+    Entries may be Fractions or Laurent polynomials; division by an exact
+    zero at an intermediate entry raises ZeroDivisionError, and a Laurent
+    division by anything but a monic monomial raises AssertionError.
     """
     levels = [
         [[y[i][j] for j in range(n + 1)] for i in range(n + 1)],
@@ -141,7 +128,7 @@ def symbolic_pyramid(n, rename=_identity):
     and "y", each renamed as lp_rename does."""
 
     def var(v):
-        return Rat(lp_rename(lp_monomial({v: 1}), rename))
+        return Laurent(lp_rename(lp_monomial({v: 1}), rename))
 
     def grid(name, size):
         side = range(1, size + 1)

@@ -137,9 +137,34 @@ def test_lambda_determinant_desk_scale():
     # numeric for n = 2..4, symbolic and one-parameter for n = 2, 3,
     # determinant for n = 1..4
     verified(["verify-lambda-det", "--seed", "97"], 3 + 2 + 2 + 4)
-    apex = lambdadet.symbolic_pyramid(4, lambdadet.one_parameter)[4][0][0]
-    assert apex == cli._robbins_rumsey_symbolic(4)
     assert time.time() - start < 120
+
+
+def robbins_rumsey_shifted(n, a, b):
+    """The Robbins-Rumsey sum of size n with every x index shifted by (a, b)."""
+
+    def shift(v):
+        return ("x", v[1] + a, v[2] + b) if v[0] == "x" else v
+
+    return lambdadet.Laurent(lambdadet.lp_rename(lambdadet.robbins_rumsey_symbolic(n), shift))
+
+
+def test_robbins_rumsey_sum_satisfies_the_pyramid_recurrence():
+    # With lam constant and mu = y = 1, entry (i, j) of level k of the
+    # pyramid is the sum of size k on x shifted by (i, j), so the recurrence
+    # RR(n) RR11(n-2) = RR(n-1) RR11(n-1) + lam RR01(n-1) RR10(n-1), checked
+    # here without division, with RR(0) = 1 and RR(1) = x11 proves the
+    # one-parameter pyramid equals the sum for every n <= 5.
+    start = time.time()
+    rr = robbins_rumsey_shifted
+    lam = lambdadet.Laurent(lambdadet.lp_monomial({("l", 0, 0): 1}))
+    assert rr(0, 0, 0) == {(): 1}
+    assert rr(1, 0, 0) == lambdadet.lp_monomial({("x", 1, 1): 1})
+    for n in range(2, 6):
+        left = rr(n, 0, 0) * rr(n - 2, 1, 1)
+        right = rr(n - 1, 0, 0) * rr(n - 1, 1, 1) + lam * rr(n - 1, 0, 1) * rr(n - 1, 1, 0)
+        assert left == right, n
+    assert time.time() - start < 30
 
 
 def test_lambda_determinant_stretch_bound():

@@ -38,6 +38,7 @@ from math import factorial
 import partition_forge.asm as A
 from partition_forge.asm import asm_count_formula, validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
+from partition_forge.lambdadet import Laurent
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
@@ -72,6 +73,7 @@ for check in (
     lambda: validate_tiling(1, {("h", 0, 0)}),
     lambda: asms_to_tiling(2, ((1, 0), (0, 1)), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
     lambda: fp_validate({(0, 0): 1}),
+    lambda: Laurent({(): 1}) / {(): 2},
     lambda: paths_to_cpp("10", [(1, "10")]),
     lambda: local_commutation_check("10", ((), (), ()), 1, 1, 0, 0),
     lambda: binomial_factor((0,), -1, lambda e: sum(e) <= 3),

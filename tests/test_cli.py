@@ -110,6 +110,22 @@ def test_refined_hook_side_missing_a_factor_is_a_mismatch(tmp_path, monkeypatch,
     assert bad == ["10:refined multiset"]
 
 
+def test_refined_pair_heavier_than_the_bound_is_a_mismatch(tmp_path, monkeypatch, capsys):
+    pairs = cli.alcd_pairs
+
+    def one_too_heavy(pi, max_weight):
+        yield from pairs(pi, max_weight)
+        # the empty diagram with gamma = (W + 1,) weighs T (W + 1) > W
+        yield {}, (max_weight + 1,), len(pi) * (max_weight + 1)
+
+    monkeypatch.setattr(cli, "alcd_pairs", one_too_heavy)
+    out = str(tmp_path / "r.json")
+    assert run_cli(["verify-bijection", "--profile", "10", "--max-weight", "4", "--out", out]) == 1
+    capsys.readouterr()
+    bad = [r["degree"] for r in read_report(out)["coefficients"] if not r["match"]]
+    assert bad == ["10:refined multiset"]
+
+
 def test_instance_cap_exit_2(capsys):
     code = run_cli(
         ["verify-borodin", "--profile", "10", "--max-weight", "10", "--max-instances", "5"]

@@ -5,9 +5,8 @@ import pytest
 
 from partition_forge import lambdadet as D
 from partition_forge.lambdadet import (
-    Rat,
+    Laurent,
     lp_add,
-    lp_const,
     lp_eval,
     lp_monomial,
     lp_mul,
@@ -18,10 +17,27 @@ from partition_forge.lambdadet import (
 def test_laurent_arithmetic():
     a = lp_monomial({("l", 1, 1): 2}, 3)
     b = lp_monomial({("l", 1, 1): -2}, Fraction(1, 3))
-    assert lp_mul(a, b) == lp_const(1)
+    assert lp_mul(a, b) == {(): 1}
     assert lp_add(a, lp_monomial({("l", 1, 1): 2}, -3)) == {}
-    assert Rat(a) / Rat(a) == Rat(lp_const(1))
-    assert Rat(a) + Rat(b) != Rat(a)
+    assert Laurent(a) + b == lp_add(a, b)
+    assert Laurent(a) * b == {(): 1}
+    unit = lp_monomial({("l", 1, 1): 2, ("x", 1, 2): -1})
+    assert Laurent(a) / unit == lp_monomial({("x", 1, 2): 1}, 3)
+    assert Laurent(a) / unit * unit == a
+    assert Laurent(a) / {(): 1} == a
+
+
+def test_laurent_divides_only_by_a_monic_monomial():
+    a = Laurent(lp_monomial({("x", 1, 1): 1}))
+    for divisor in (
+        {},
+        {(): 2},
+        lp_monomial({("x", 1, 1): 1}, -1),
+        lp_monomial({("x", 1, 1): 1}, Fraction(1, 2)),
+        lp_add(lp_monomial({("x", 1, 1): 1}), lp_monomial({("y", 1, 1): 1})),
+    ):
+        with pytest.raises(AssertionError):
+            a / divisor
 
 
 def test_rename_merges_drops_and_cancels():
@@ -35,7 +51,7 @@ def test_rename_merges_drops_and_cancels():
     merged = {a: a, b: a}
     assert lp_rename(poly, merged.get) == lp_monomial({a: 5}, 5)
     assert lp_rename(poly, lambda v: v) == poly
-    assert lp_rename(lp_monomial({c: 3}, 7), merged.get) == lp_const(7)
+    assert lp_rename(lp_monomial({c: 3}, 7), merged.get) == {(): 7}
 
 
 def test_eval_matches_a_fraction_product_per_variable():
@@ -71,14 +87,19 @@ def test_base_case_two_terms():
         lp_monomial({("m", 1, 1): 1, ("x", 1, 1): 1, ("x", 2, 2): 1}),
         lp_monomial({("l", 1, 1): 1, ("x", 1, 2): 1, ("x", 2, 1): 1}),
     )
-    assert levels[2][0][0] == Rat(num, lp_monomial({("y", 2, 2): 1}))
+    assert levels[2][0][0] == lp_mul(num, lp_monomial({("y", 2, 2): -1}))
 
 
 def test_closed_form_matches_recurrence_symbolically():
     for n in (2, 3):
         levels = D.symbolic_pyramid(n)
         for k in range(1, n + 1):
-            assert levels[k][0][0] == Rat(D.closed_form_symbolic(n, k)), (n, k)
+            assert levels[k][0][0] == D.closed_form_symbolic(n, k), (n, k)
+        apex = D.symbolic_pyramid(n, D.one_parameter)[n][0][0]
+        assert apex == D.robbins_rumsey_symbolic(n)
+    # the apex of n = 4 divides by an entry of level 2, a sum of two monomials
+    with pytest.raises(AssertionError):
+        D.symbolic_pyramid(4, D.one_parameter)
 
 
 def test_term_count_is_boolean_lattice_sum():
@@ -131,7 +152,7 @@ def unit_base(v):
 def test_corollary_with_unit_base():
     for n in (2, 3):
         apex = D.symbolic_pyramid(n, unit_base)[n][0][0]
-        assert apex == Rat(D.corollary_symbolic(n))
+        assert apex == D.corollary_symbolic(n)
 
 
 def test_corollary_is_the_closed_form_at_unit_base():
@@ -169,7 +190,3 @@ def test_zero_denominator_raises():
     m = [[Fraction(1)] * 2 for _ in range(2)]
     with pytest.raises(ZeroDivisionError):
         D.pyramid(2, m, m, m, y)
-    with pytest.raises(ZeroDivisionError):
-        Rat(lp_const(1), {})
-    with pytest.raises(ZeroDivisionError):
-        Rat(lp_const(1)) / Rat(lp_const(0))
