@@ -373,17 +373,12 @@ def check_lambda_det(max_n, points, seed, budget):
                 good += 1
         out.append(record("numeric:n=%d" % n, good, points))
     for n in range(2, min(max_n, 3) + 1):
-        levels = lambdadet.symbolic_pyramid(n)
         out.append(
-            tally(
-                "symbolic:n=%d" % n,
-                range(1, n + 1),
-                lambda k: levels[k][0][0] == forms[n][k - 1],
-            )
+            tally("symbolic:n=%d" % n, range(1, n + 1), lambda k: lambdadet.condenses(n, k, forms[n]))
         )
     # each corollary below has one term per sign matrix of its size
     for n in range(2, min(max_n, 3) + 1):
-        apex = lambdadet.symbolic_pyramid(n, lambdadet.one_parameter)[n][0][0]
+        apex = lambdadet.lp_rename(forms[n][n - 1], lambdadet.one_parameter)
         budget.spend(asmmod.x_enumeration(n, 1))
         want = _robbins_rumsey_symbolic(n)
         out.append(record("one-parameter:n=%d" % n, int(apex == want), 1))

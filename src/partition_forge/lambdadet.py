@@ -8,7 +8,9 @@ monomials indexed by pairs of interlacing sign matrices.
 Laurent polynomials are dicts mapping a sorted tuple of (variable, exponent)
 pairs to a nonzero coefficient (an int wherever the math is integral);
 variables are tuples like ("l", i, j).  A specialization is a renaming of
-the variables (lp_rename), and the pyramid and the closed forms both take it.
+the variables (lp_rename).  The pyramid itself runs on numbers only; its
+levels 0 and 1 fix it, so the closed forms are proved symbolically by the
+recurrence with the division multiplied out (condenses).
 """
 
 from fractions import Fraction
@@ -51,10 +53,6 @@ def lp_rename(a, rename):
     )
 
 
-def _identity(v):
-    return v
-
-
 def lp_eval(a, point):
     """a at point, one integer numerator and denominator per monomial."""
     powers = {}  # (variable, exponent) -> its value at point as (num, den)
@@ -73,34 +71,14 @@ def lp_eval(a, point):
     return total
 
 
-class Laurent(dict):
-    """A Laurent polynomial dict with + and *; it divides only by a monic
-    monomial, which is all the symbolic pyramid needs up to n = 3."""
-
-    def __add__(self, other):
-        return Laurent(lp_add(self, other))
-
-    def __mul__(self, other):
-        return Laurent(lp_mul(self, other))
-
-    def __truediv__(self, other):
-        if list(other.values()) != [1]:
-            raise AssertionError("divisor is not a monic monomial: %r" % (other,))
-        (k,) = other
-        return self * {tuple((v, -e) for v, e in k): 1}
-
-
 # ---------------------------------------------------------------------------
 # the pyramid recurrence
 
 
 def pyramid(n, lam, mu, x, y):
-    """All levels of the recurrence; level k is (n+1-k) square.
-
-    Entries may be Fractions or Laurent polynomials; division by an exact
-    zero at an intermediate entry raises ZeroDivisionError, and a Laurent
-    division by anything but a monic monomial raises AssertionError.
-    """
+    """All levels of the recurrence on numeric grids; level k is (n+1-k)
+    square.  Division by an exact zero at an intermediate entry raises
+    ZeroDivisionError."""
     levels = [
         [[y[i][j] for j in range(n + 1)] for i in range(n + 1)],
         [[x[i][j] for j in range(n)] for i in range(n)],
@@ -121,20 +99,6 @@ def pyramid(n, lam, mu, x, y):
         ]
         levels.append(nxt)
     return levels
-
-
-def symbolic_pyramid(n, rename=_identity):
-    """The pyramid on the variables (c, i, j) of the grids c = "l", "m", "x"
-    and "y", each renamed as lp_rename does."""
-
-    def var(v):
-        return Laurent(lp_rename(lp_monomial({v: 1}), rename))
-
-    def grid(name, size):
-        side = range(1, size + 1)
-        return [[var((name, i, j)) for j in side] for i in side]
-
-    return pyramid(n, grid("l", n), grid("m", n), grid("x", n), grid("y", n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +144,26 @@ def closed_form_symbolic(n, k):
     )
 
 
+def shifted(a, di, dj):
+    """a with its apex moved to entry (1 + di, 1 + dj) of its level: the l, x
+    and y indices shift by (di, dj), and the m indices by (di, -dj)."""
+    return lp_rename(a, lambda v: (v[0], v[1] + di, v[2] + (-dj if v[0] == "m" else dj)))
+
+
+def condenses(n, k, forms):
+    """Whether level k of forms (forms[k - 1] the apex of level k of the
+    order-n pyramid) satisfies the recurrence, with the division by the apex
+    of level k - 2 multiplied out; level 0 is y11 and level 1 must be x11."""
+    if k == 1:
+        return forms[0] == lp_monomial({("x", 1, 1): 1})
+    below = forms[k - 3] if k > 2 else lp_monomial({("y", 1, 1): 1})
+    e = forms[k - 2]
+    return lp_mul(forms[k - 1], shifted(below, 1, 1)) == lp_add(
+        lp_mul(lp_monomial({("m", 1, n + 1 - k): 1}), lp_mul(e, shifted(e, 1, 1))),
+        lp_mul(lp_monomial({("l", 1, 1): 1}), lp_mul(shifted(e, 0, 1), shifted(e, 1, 0))),
+    )
+
+
 def _point(lam=(), mu=(), x=(), y=()):
     """The value of each grid variable (c, i, j) at numeric grids."""
     return {
@@ -195,7 +179,7 @@ def closed_form_value(form, lam, mu, x, y):
     return lp_eval(form, _point(lam, mu, x, y))
 
 
-def corollary_symbolic(n, rename=_identity):
+def corollary_symbolic(n, rename):
     """Apex with the base level set to all ones, as a sum over single sign
     matrices with inversion and dual inversion exponents.  Each sign matrix's
     term and its (mu + lam) factors are renamed (see lp_rename) as they are

@@ -16,6 +16,7 @@ from partition_forge import cylindric
 from partition_forge import lambdadet
 from partition_forge import partitions
 from partition_forge import qtseries
+from pyramid_model import Laurent
 
 
 def verified(argv, count):
@@ -146,7 +147,7 @@ def robbins_rumsey_shifted(n, a, b):
     def shift(v):
         return ("x", v[1] + a, v[2] + b) if v[0] == "x" else v
 
-    return lambdadet.Laurent(lambdadet.lp_rename(lambdadet.robbins_rumsey_symbolic(n), shift))
+    return Laurent(lambdadet.lp_rename(lambdadet.robbins_rumsey_symbolic(n), shift))
 
 
 def test_robbins_rumsey_sum_satisfies_the_pyramid_recurrence():
@@ -157,7 +158,7 @@ def test_robbins_rumsey_sum_satisfies_the_pyramid_recurrence():
     # one-parameter pyramid equals the sum for every n <= 5.
     start = time.time()
     rr = robbins_rumsey_shifted
-    lam = lambdadet.Laurent(lambdadet.lp_monomial({("l", 0, 0): 1}))
+    lam = Laurent(lambdadet.lp_monomial({("l", 0, 0): 1}))
     assert rr(0, 0, 0) == {(): 1}
     assert rr(1, 0, 0) == lambdadet.lp_monomial({("x", 1, 1): 1})
     for n in range(2, 6):

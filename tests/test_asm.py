@@ -38,13 +38,13 @@ from math import factorial
 import partition_forge.asm as A
 from partition_forge.asm import asm_count_formula, validate_asm
 from partition_forge.cylindric import check_profile, validate_alcd, validate_cpp
-from partition_forge.lambdadet import Laurent
 from partition_forge.aztec import asms_to_tiling, validate_tiling
 from partition_forge.correspondences import burge_inverse, reverse_robinson, rsk_inverse
 from partition_forge.partitions import check_partition, hstrips_up, profile
 from partition_forge.qtseries import fp_validate
 from partition_forge.series import binomial_factor, product_by_degree
 from path_model import local_commutation_check, paths_to_cpp
+from pyramid_model import Laurent
 
 def inexact_asm_count():
     A.factorial = lambda k: k + 2  # makes the product quotient 18 / 20 at n = 2
@@ -88,7 +88,7 @@ for check in (
         continue
     raise SystemExit("accepted")
 """
-    tests = str(Path(__file__).resolve().parent)  # where path_model lives
+    tests = str(Path(__file__).resolve().parent)  # where path_model and pyramid_model live
     path = os.pathsep.join(filter(None, [tests, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -587,6 +588,22 @@ def test_lambda_det_charges_each_corollary_before_building_it(monkeypatch, capsy
     monkeypatch.setattr(lambdadet, "robbins_rumsey_symbolic", refuse_n_4)
     assert cli.main(argv + ["238"]) == 2
     assert capsys.readouterr().err == "error: instance cap exceeded: 239 > 238\n"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--n", "3", "--seed", "7"], "ec7c6d85b380b369448f32e2bd666d61fdfd862effd502bb307354f3728dea13"),
+        (["--n", "5", "--seed", "3"], "37241d52c30532d5172e35ea8d17ce3f757aea8ed8015adf397dfba65843ad00"),
+        (["--n", "3", "--format", "csv"], "97c74cdf9617ae0fd24c72048565768c68f49ef48f6cc1b1721f550787fc7d51"),
+    ],
+)
+def test_seeded_lambda_det_reports_keep_their_bytes(argv, digest, capsys):
+    # the sha256 of stdout as `python -m partition_forge.cli` prints it;
+    # bench/expected.json pins only the exit code, ok and record count of
+    # the seeded run
+    assert cli.main(["verify-lambda-det"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_record_prints_ints_and_fractions():

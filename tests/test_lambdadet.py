@@ -5,13 +5,18 @@ import pytest
 
 from partition_forge import lambdadet as D
 from partition_forge.lambdadet import (
-    Laurent,
     lp_add,
     lp_eval,
     lp_monomial,
     lp_mul,
     lp_rename,
+    shifted,
 )
+from pyramid_model import Laurent, symbolic_pyramid
+
+
+def identity(v):
+    return v
 
 
 def test_laurent_arithmetic():
@@ -50,7 +55,7 @@ def test_rename_merges_drops_and_cancels():
     # cancels -b
     merged = {a: a, b: a}
     assert lp_rename(poly, merged.get) == lp_monomial({a: 5}, 5)
-    assert lp_rename(poly, lambda v: v) == poly
+    assert lp_rename(poly, identity) == poly
     assert lp_rename(lp_monomial({c: 3}, 7), merged.get) == {(): 7}
 
 
@@ -82,7 +87,7 @@ def test_eval_matches_a_fraction_product_per_variable():
 def test_base_case_two_terms():
     # the 2 by 2 apex is (mu X11 X22 + lam X12 X21) / Y22
     n = 2
-    levels = D.symbolic_pyramid(n)
+    levels = symbolic_pyramid(n)
     num = lp_add(
         lp_monomial({("m", 1, 1): 1, ("x", 1, 1): 1, ("x", 2, 2): 1}),
         lp_monomial({("l", 1, 1): 1, ("x", 1, 2): 1, ("x", 2, 1): 1}),
@@ -90,16 +95,54 @@ def test_base_case_two_terms():
     assert levels[2][0][0] == lp_mul(num, lp_monomial({("y", 2, 2): -1}))
 
 
+def closed_forms(n):
+    return [D.closed_form_symbolic(n, k) for k in range(1, n + 1)]
+
+
 def test_closed_form_matches_recurrence_symbolically():
+    # entry (i, j) of level k is the apex form renamed by shifted(., i - 1,
+    # j - 1); the recurrence that condenses checks at the apex is this one
+    # renamed, so it holds at every entry
     for n in (2, 3):
-        levels = D.symbolic_pyramid(n)
-        for k in range(1, n + 1):
-            assert levels[k][0][0] == D.closed_form_symbolic(n, k), (n, k)
-        apex = D.symbolic_pyramid(n, D.one_parameter)[n][0][0]
+        levels = symbolic_pyramid(n)
+        forms = [lp_monomial({("y", 1, 1): 1})] + closed_forms(n)
+        for k, level in enumerate(levels):
+            for i, row in enumerate(level, 1):
+                for j, entry in enumerate(row, 1):
+                    assert entry == shifted(forms[k], i - 1, j - 1), (n, k, i, j)
+        apex = symbolic_pyramid(n, D.one_parameter)[n][0][0]
         assert apex == D.robbins_rumsey_symbolic(n)
     # the apex of n = 4 divides by an entry of level 2, a sum of two monomials
     with pytest.raises(AssertionError):
-        D.symbolic_pyramid(4, D.one_parameter)
+        symbolic_pyramid(4, D.one_parameter)
+
+
+def test_closed_forms_condense_at_every_level():
+    # levels 0 and 1 fix the pyramid, so this proves every closed form up
+    # to n = 5 with no division
+    for n in range(2, 6):
+        forms = closed_forms(n)
+        for k in range(1, n + 1):
+            assert D.condenses(n, k, forms), (n, k)
+
+
+def test_a_wrong_form_does_not_condense():
+    for n in (3, 4):
+        forms = closed_forms(n)
+        for key in forms[2]:
+            dropped = {kk: c for kk, c in forms[2].items() if kk != key}
+            wrong = forms[:2] + [dropped] + forms[3:]
+            assert not all(D.condenses(n, k, wrong) for k in range(1, n + 1)), (n, key)
+        x11 = forms[0]
+        for first in (
+            lp_monomial({("x", 1, 2): 1}),
+            lp_monomial({("x", 1, 1): 1}, 2),
+            lp_add(x11, lp_monomial({("y", 1, 1): 1})),
+        ):
+            wrong = [first] + forms[1:]
+            assert not D.condenses(n, 1, wrong), (n, first)
+            # the level above reads level 1 too
+            assert not D.condenses(n, 2, wrong), (n, first)
 
 
 def test_term_count_is_boolean_lattice_sum():
@@ -151,13 +194,13 @@ def unit_base(v):
 
 def test_corollary_with_unit_base():
     for n in (2, 3):
-        apex = D.symbolic_pyramid(n, unit_base)[n][0][0]
-        assert apex == D.corollary_symbolic(n)
+        apex = symbolic_pyramid(n, unit_base)[n][0][0]
+        assert apex == D.corollary_symbolic(n, identity)
 
 
 def test_corollary_is_the_closed_form_at_unit_base():
     for n in (1, 2, 3, 4):
-        assert lp_rename(D.closed_form_symbolic(n, n), unit_base) == D.corollary_symbolic(n)
+        assert lp_rename(D.closed_form_symbolic(n, n), unit_base) == D.corollary_symbolic(n, identity)
 
 
 def test_one_parameter_specialization():
@@ -172,7 +215,7 @@ def test_one_parameter_specialization():
         point = {("x", i, j): v for i, row in enumerate(m, 1) for j, v in enumerate(row, 1)}
         point[("l", 0, 0)] = lv
         assert apex == lp_eval(D.robbins_rumsey_symbolic(n), point)
-        assert apex == lp_eval(D.corollary_symbolic(n), D._point(lam, mu, m))
+        assert apex == lp_eval(D.corollary_symbolic(n, identity), D._point(lam, mu, m))
 
 
 def test_determinant_specialization():
