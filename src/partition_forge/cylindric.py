@@ -283,52 +283,38 @@ def borodin_lhs(pi, max_weight, base=None):
 
     Without a base the count depends on pi only up to rotation: the weight
     |mu^1| + ... + |mu^T| is a cyclic sum, so (mu^0, ..., mu^T) over pi and
-    (mu^1, ..., mu^T, mu^1) over rotate_profile(pi) weigh the same.  It is
-    taken once per necklace(pi) and max_weight (see _necklace_count).  A
-    given base pins mu^0, so that count is never rotated; it is taken once
-    per reverse-complement pair (see _pinned_count).  Each call returns a
+    (mu^1, ..., mu^T, mu^1) over rotate_profile(pi) weigh the same.  So
+    necklace(pi) is walked, cut at the valley after its first "01", or at its
+    end when there is none inside it (a mixed necklace ends with '0' and
+    starts with '1').  There mu^1 and mu^(T-1) both contain mu^0 = mu^T, so
+    every CPP weighs at least min(T, 3)|mu^0| and heavier bases are skipped.
+    A pure profile has no valley and is left as it is, but all its mu^k are
+    equal and it weighs T|mu^0|, so the same bound holds.  Every valley cut
+    gives the same count, but not at the same cost: 10100 at weight 26 walks
+    about a fifth faster cut as 10010 than as itself.
+
+    A given base pins mu^0, so that count is never rotated.  Read backwards,
+    a CPP over pi is one over reverse_complement(pi): each '1' step up
+    becomes a '0' step down and the other way round, while mu^0 and the
+    weight stay.  So the lesser of the two is walked, and minimal_profile of
+    a shape and of its conjugate share one walk.
+
+    _closed_walks keeps each walk for the process; each call returns a
     fresh list.
     """
     check_profile(pi)
     if base is None:
-        return list(_necklace_count(necklace(pi), max_weight))
-    return list(_pinned_count(min(pi, reverse_complement(pi)), max_weight, tuple(base)))
+        neck = necklace(pi)
+        cut = neck.find("01") + 1
+        bases = partitions_upto(max_weight // min(len(pi), 3))
+        return list(_closed_walks(neck[cut:] + neck[:cut], max_weight, bases))
+    return list(_closed_walks(min(pi, reverse_complement(pi)), max_weight, (tuple(base),)))
 
 
 @lru_cache(maxsize=None)
-def _pinned_count(pi, max_weight, base):
-    """borodin_lhs(pi, max_weight, base), as a tuple cached for the process.
-
-    Read backwards, a CPP over pi is one over reverse_complement(pi): each
-    '1' step up becomes a '0' step down and the other way round, while mu^0
-    and the weight stay.  So the two profiles share one count, and
-    minimal_profile of a shape and of its conjugate are such a pair.
-    """
-    return tuple(_closed_walks(pi, max_weight, [base]))
-
-
-@lru_cache(maxsize=None)
-def _necklace_count(neck, max_weight):
-    """borodin_lhs(neck, max_weight) for a greatest rotation neck, as a tuple
-    cached for the process.
-
-    The walk is cut at the valley after neck's first "01", or at the end of
-    neck when there is none inside it (a mixed neck ends with '0' and starts
-    with '1').  There mu^1 and mu^(T-1) both contain mu^0 = mu^T, so every
-    CPP weighs at least min(T, 3)|mu^0| and heavier bases are skipped.  A
-    pure profile has no valley and is left as it is, but all its mu^k are
-    equal and it weighs T|mu^0|, so the same bound holds.  Every valley cut
-    gives the same count, but not at the same cost: 10100 at weight 26 walks
-    about a fifth faster cut as 10010 than as itself.
-    """
-    cut = neck.find("01") + 1
-    bases = partitions_upto(max_weight // min(len(neck), 3))
-    return tuple(_closed_walks(neck[cut:] + neck[:cut], max_weight, bases))
-
-
 def _closed_walks(pi, max_weight, bases):
-    """Closed walks of horizontal strips over pi from each of the bases, by
-    weight up to max_weight."""
+    """Closed walks of horizontal strips over pi from each of the bases (a
+    tuple), by weight up to max_weight, as a tuple cached for the process."""
     counts = [0] * (max_weight + 1)
     for mu0 in bases:
         if sum(mu0) > max_weight:
@@ -349,7 +335,7 @@ def _closed_walks(pi, max_weight, bases):
             if is_horizontal_strip(*step_strip(pi[-1], mu, mu0)):
                 for w, n in walks.items():
                     counts[w] += n
-    return counts
+    return tuple(counts)
 
 
 def borodin_rhs(pi, max_weight):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from partition_forge import aztec as Z
 from partition_forge import cli
 from partition_forge import cylindric as Y
 from partition_forge import partitions as P
@@ -16,10 +17,10 @@ CACHES = (
     P.partitions_upto,
     Q._pieri_step,
     L._layer_alphabet,
-    Y._necklace_count,
-    Y._pinned_count,
+    Y._closed_walks,
     Q._necklace_tally,
     Q._necklace_weights,
+    Z._counter,
 )
 
 
@@ -100,33 +101,41 @@ def test_cached_values_cannot_be_changed_by_a_caller():
 
 def test_one_count_and_one_tally_per_necklace():
     # cold, the default sweep counts its 62 profiles as 23 necklaces, the
-    # weight check tallies its 52 mixed profiles as 13, and the (q, t) sweep
-    # expands the left sides of its 22 profiles as 7
+    # weight check tallies its 52 mixed profiles as 13 (and counts them as
+    # 13), and the (q, t) sweep expands the left sides of its 22 profiles as
+    # 7; every count is one walk of _closed_walks
     def run(argv):
         for f in CACHES:
             f.cache_clear()
         args = cli.build_parser().parse_args(argv)
         return [r for _, fn in cli.build_tasks(args, cli.Budget(10**6)) for r in fn()]
 
+    def walks():
+        info = Y._closed_walks.cache_info()
+        assert info.misses == info.currsize
+        return info.misses
+
     records = run(["verify-borodin", "--max-weight", "6"])
     assert len(records) == 62 * 7
-    counts = Y._necklace_count.cache_info()
-    assert counts.misses == counts.currsize == 23
+    assert walks() == 23
     records = run(["verify-stanley", "--n", "0", "--max-weight", "6"])
     assert len(records) == 1 + 52
     tallies = Q._necklace_tally.cache_info()
     assert tallies.misses == tallies.currsize == 13
-    assert Y._necklace_count.cache_info().currsize == 13
+    assert walks() == 13
     records = run(["verify-qt-borodin", "--max-weight", "4", "--qt-degree", "4"])
     assert len({r["degree"].partition(":")[0] for r in records}) == 22
     sides = Q._necklace_weights.cache_info()
     assert sides.misses == sides.currsize == 7
+    assert walks() == 7
     # the 66 shapes of size 1..8 count 37 pinned profiles: a shape and its
-    # conjugate share one, by reading the CPPs backwards
+    # conjugate share one, by reading the CPPs backwards; the weight check
+    # walks its 13 necklaces besides
     records = run(["verify-stanley", "--n", "8", "--max-weight", "6"])
     assert len({r["degree"].partition(":")[0] for r in records if r["degree"][0] == "("}) == 67
-    pinned = Y._pinned_count.cache_info()
-    assert pinned.misses == pinned.currsize == 37
+    assert walks() == 37 + 13
+    run(["verify-bijection"])
+    assert walks() == 10
 
 
 def test_nothing_is_cached_at_import():
@@ -146,16 +155,6 @@ print(json.dumps(sizes))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     sizes = json.loads(proc.stdout)
-    new = {
-        "partition_forge.partitions.hstrips_down",
-        "partition_forge.partitions.hstrips_up",
-        "partition_forge.partitions.partitions_upto",
-        "partition_forge.qtseries._pieri_step",
-        "partition_forge.paths._layer_alphabet",
-        "partition_forge.cylindric._necklace_count",
-        "partition_forge.cylindric._pinned_count",
-        "partition_forge.qtseries._necklace_tally",
-        "partition_forge.qtseries._necklace_weights",
-    }
-    assert new <= set(sizes)
+    # every memo the package holds is one of CACHES, so each is tested above
+    assert set(sizes) == {"%s.%s" % (f.__module__, f.__qualname__) for f in CACHES}
     assert sizes == dict.fromkeys(sizes, 0)

@@ -95,8 +95,8 @@ def test_cut_skips_the_heavy_bases():
     # cut at a valley, only the bases of weight <= 20 // 3 start a walk (283
     # entries); a walk from every base of weight <= 20 on the uncut profile,
     # which starts with a step down, fills 2,714
-    # a warm count memo would answer without walking at all
-    Y._necklace_count.cache_clear()
+    # a warm walk memo would answer without walking at all
+    Y._closed_walks.cache_clear()
     P.hstrips_down.cache_clear()
     P.hstrips_up.cache_clear()
     Y.borodin_lhs("01010", 20)
@@ -117,9 +117,11 @@ def test_necklace_is_the_greatest_rotation():
 
 
 def test_a_cached_count_never_answers_a_pinned_one():
-    Y._necklace_count.cache_clear()
+    # each count is one cached walk, keyed by the profile walked, W and the
+    # bases, so no key answers for a different walk
+    Y._closed_walks.cache_clear()
     Y.borodin_lhs("0110", 12)
-    assert Y._necklace_count.cache_info().currsize == 1
+    assert Y._closed_walks.cache_info().currsize == 1
     assert Y.borodin_lhs("0110", 12, (1,)) == _listed_counts("0110", 12, (1,))
     assert Y.borodin_lhs("0011", 12, ()) == _listed_counts("0011", 12, ())
     # a pinned count is shared with the reverse complement, never a rotation
@@ -127,7 +129,27 @@ def test_a_cached_count_never_answers_a_pinned_one():
         rc, _ = _reverse_complement(pi, ())
         for profile in (pi, rc):
             assert Y.borodin_lhs(profile, 10, base) == _listed_counts(profile, 10, base), (profile, base)
-    assert Y._necklace_count.cache_info().currsize == 1
+    # on 10 below weight 2 the walk of the necklace and the walk pinned at ()
+    # are one walk: 10 is its own valley cut and reverse complement, and ()
+    # is its one base of weight <= W // 2
+    for W, order in product((0, 1), ([None, ()], [(), None])):
+        Y._closed_walks.cache_clear()
+        want = _listed_counts("10", W)
+        assert want == _listed_counts("10", W, ())
+        assert [Y.borodin_lhs("10", W, base) for base in order] == [want, want]
+        assert Y._closed_walks.cache_info().currsize == 1
+
+
+def test_the_count_is_the_sum_of_the_pinned_counts():
+    # beyond the listing's reach: the count walked from the light bases of
+    # the valley cut against the pinned counts of every base of weight <= W,
+    # which skip no base and cut nothing
+    for pi, W in (("10", 24), ("1100", 24), ("10100", 24), ("110100", 22)):
+        total = [0] * (W + 1)
+        for base in P.partitions_upto(W):
+            for w, n in enumerate(Y.borodin_lhs(pi, W, base)):
+                total[w] += n
+        assert Y.borodin_lhs(pi, W) == total, pi
 
 
 def _reverse_complement(pi, seq):
