@@ -95,11 +95,6 @@ def inversions(m):
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if is_inversion(m, i, j)]
 
 
-def dual_inversions(m):
-    n = len(m)
-    return sorted((i, n + 1 - j) for i, j in inversions(reverse_columns(m)))
-
-
 def left_corner_sums(m):
     n = len(m)
     out = [[0] * n for _ in range(n)]

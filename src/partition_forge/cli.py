@@ -485,8 +485,9 @@ COMMANDS = {
 }
 
 # enumerate --kind -> (bound -> default, items, count).  Items come in a fixed
-# order and are ready for JSON; count counts them without listing, so the cap
-# is charged before the work.
+# order and are ready for JSON; count counts them by a formula or a product,
+# without listing or walking them, so the cap is charged before the work and
+# refuses an oversized run at once.
 KINDS = {
     # partitions of k <= W: the coefficient sum of prod_{k<=W} 1/(1 - z^k)
     "partitions": ({"max_weight": REQUIRED}, lambda b: [
@@ -494,10 +495,11 @@ KINDS = {
     ], lambda b: sum(series.z_coefficients([
         (k, -1) for k in range(1, b.max_weight + 1)
     ], b.max_weight))),
+    # Borodin's identity: the coefficient sum of the hook product
     "cpps": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
         {"profile": b.profile, "seq": [list(mu) for mu in seq]}
         for seq in sorted(cylindric.enumerate_cpps(b.profile, b.max_weight))
-    ], lambda b: sum(cylindric.borodin_lhs(b.profile, b.max_weight))),
+    ], lambda b: sum(cylindric.borodin_rhs(b.profile, b.max_weight))),
     # one label m >= 1 of weight m * hook on each of some boxes: the
     # coefficient sum of prod_boxes 1/(1 - z^hook)
     "alcds": ({"profile": REQUIRED, "max_weight": REQUIRED}, lambda b: [
@@ -509,14 +511,16 @@ KINDS = {
         (cylindric.box_hook(b.profile, box), -1)
         for box in cylindric.cylindric_boxes(b.profile, b.max_weight)
     ], b.max_weight))),
+    # |ASM(n)| by its product formula
     "asms": ({"n": REQUIRED}, lambda b: [
         [list(row) for row in m] for m in sorted(asmmod.enumerate_asms(b.n))
-    ], lambda b: asmmod.x_enumeration(b.n, 1)),
+    ], lambda b: asmmod.asm_count_formula(b.n)),
     # printed in enumerate_tilings' order; sorted() would keep it, since
-    # tilings are frozensets and those compare by inclusion
+    # tilings are frozensets and those compare by inclusion.  The order-n
+    # Aztec diamond has 2^(n(n+1)/2) tilings
     "tilings": ({"n": REQUIRED}, lambda b: [
         emit_tiling(t) for t in aztec.enumerate_tilings(b.n)
-    ], lambda b: aztec.count_tilings(b.n)),
+    ], lambda b: 2 ** (b.n * (b.n + 1) // 2)),
 }
 
 

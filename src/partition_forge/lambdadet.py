@@ -15,6 +15,7 @@ recurrence with the division multiplied out (condenses).
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from . import asm as A
 from . import series
@@ -105,8 +106,8 @@ def pyramid(n, lam, mu, x, y):
 # closed form
 
 
-def closed_form_terms(n, k):
-    """Monomials of the apex of level k, one per interlacing pair."""
+def closed_form_symbolic(n, k):
+    """Apex of level k: one monomial per interlacing pair."""
     if not 1 <= k <= n:
         raise AssertionError("level %d outside 1..%d" % (k, n))
     out = []
@@ -134,14 +135,8 @@ def closed_form_terms(n, k):
                         (("m", i + 1, n + 1 - j), -ga[i - 1][j - 1]),
                         (("y", i + 1, j + 1), -a[i - 1][j - 1]),
                     ]
-            out.append({_key(pairs): 1})
-    return out
-
-
-def closed_form_symbolic(n, k):
-    return series.accumulate(
-        kv for term in closed_form_terms(n, k) for kv in term.items()
-    )
+            out.append((_key(pairs), 1))
+    return series.accumulate(out)
 
 
 def shifted(a, di, dj):
@@ -179,31 +174,6 @@ def closed_form_value(form, lam, mu, x, y):
     return lp_eval(form, _point(lam, mu, x, y))
 
 
-def corollary_symbolic(n, rename):
-    """Apex with the base level set to all ones, as a sum over single sign
-    matrices with inversion and dual inversion exponents.  Each sign matrix's
-    term and its (mu + lam) factors are renamed (see lp_rename) as they are
-    built, before they are multiplied out."""
-
-    def monomial(pairs):
-        return lp_rename({_key(pairs): 1}, rename)
-
-    terms = []
-    for b in A.enumerate_asms(n):
-        entries = [(i, j, v) for i, row in enumerate(b, 1) for j, v in enumerate(row, 1) if v]
-        term = monomial(
-            [(("x", i, j), v) for i, j, v in entries]
-            + [(("l", i, j), 1) for i, j in A.inversions(b)]
-            + [(("m", i, n + 1 - j), 1) for i, j in A.dual_inversions(b)]
-        )
-        for i, j, v in entries:
-            if v == -1:
-                mu = monomial([(("m", i, n + 1 - j), 1)])
-                term = lp_mul(term, lp_add(mu, monomial([(("l", i, j), 1)])))
-        terms.append(term)
-    return series.accumulate(kv for term in terms for kv in term.items())
-
-
 def one_parameter(v):
     """Robbins and Rumsey's specialization as a renaming: every lam entry
     becomes ("l", 0, 0), mu and y become 1, and x is kept."""
@@ -213,10 +183,17 @@ def one_parameter(v):
 
 
 def robbins_rumsey_symbolic(n):
-    """The corollary under one_parameter (Robbins and Rumsey 1986): the sum
-    over sign matrices of lam^inversions (1 + lam)^(number of -1 entries)
-    times the monomial."""
-    return corollary_symbolic(n, one_parameter)
+    """Robbins and Rumsey's sum (1986) over the sign matrices B of size n:
+    lam^inv(B) (1 + lam)^N(B) x^B, with N(B) the number of -1 entries and
+    lam the variable ("l", 0, 0) of one_parameter.  The binomial theorem
+    multiplies it out: each k <= N(B) adds C(N(B), k) lam^(inv(B) + k) x^B."""
+    out = []
+    for b in A.enumerate_asms(n):
+        x = [(("x", i, j), v) for i, row in enumerate(b, 1) for j, v in enumerate(row, 1) if v]
+        signs = sum(1 for _, v in x if v == -1)
+        inv = len(A.inversions(b))
+        out += [(_key(x + [(("l", 0, 0), inv + k)]), comb(signs, k)) for k in range(signs + 1)]
+    return series.accumulate(out)
 
 
 def lambda_determinant(n, m):

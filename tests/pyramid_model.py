@@ -1,5 +1,6 @@
 """The λ-pyramid run symbolically, kept as the tests' oracle for the closed
-forms that lambdadet.condenses proves.
+forms that lambdadet.condenses proves, and the unit-base corollary, kept as
+the oracle for lambdadet.robbins_rumsey_symbolic.
 
 Laurent is a Laurent-polynomial dict (see lambdadet) with + and *; its /
 divides only by a monic monomial and raises AssertionError for any other
@@ -8,7 +9,9 @@ variable, so symbolic_pyramid runs lambdadet.pyramid on Laurent grids and
 gives every entry of every level as a plain dict.
 """
 
+from partition_forge.asm import enumerate_asms, inversions, is_dual_inversion
 from partition_forge.lambdadet import lp_add, lp_monomial, lp_mul, lp_rename, pyramid
+from partition_forge.series import accumulate
 
 
 class Laurent(dict):
@@ -40,3 +43,28 @@ def symbolic_pyramid(n, rename=lambda v: v):
         return [[var((name, i, j)) for j in side] for i in side]
 
     return pyramid(n, grid("l", n), grid("m", n), grid("x", n), grid("y", n + 1))
+
+
+def corollary_symbolic(n, rename):
+    """Apex with the base level set to all ones, as a sum over single sign
+    matrices with inversion and dual inversion exponents.  Each sign matrix's
+    term and its (mu + lam) factors are renamed (see lp_rename) as they are
+    built, before they are multiplied out."""
+
+    def monomial(exps):
+        return lp_rename(lp_monomial(exps), rename)
+
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    terms = []
+    for b in enumerate_asms(n):
+        term = monomial(
+            {("x", i, j): b[i - 1][j - 1] for i, j in cells if b[i - 1][j - 1]}
+            | {("l", i, j): 1 for i, j in inversions(b)}
+            | {("m", i, n + 1 - j): 1 for i, j in cells if is_dual_inversion(b, i, j)}
+        )
+        for i, j in cells:
+            if b[i - 1][j - 1] == -1:
+                mu = monomial({("m", i, n + 1 - j): 1})
+                term = lp_mul(term, lp_add(mu, monomial({("l", i, j): 1})))
+        terms.append(term)
+    return accumulate(kv for term in terms for kv in term.items())

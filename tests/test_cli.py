@@ -322,6 +322,28 @@ def test_enumerate_asms_charges_the_count_before_listing(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "argv, charged",
+    [
+        (["--kind", "tilings", "--n", "12"], 302231454903657293676544),
+        (["--kind", "asms", "--n", "12"], 12611311859677500),
+        (["--kind", "cpps", "--profile", "110100", "--max-weight", "40"], 14620382),
+        (["--kind", "cpps", "--profile", "110100", "--max-weight", "60"], 1291957399),
+    ],
+)
+def test_enumerate_refuses_by_a_formula_without_counting(argv, charged, monkeypatch, capsys):
+    # 2^(n(n+1)/2) tilings, |ASM(n)| by its product formula and the hook
+    # product stand in for the counts, which would run for minutes here
+    def refuse(*args):
+        raise AssertionError("counted by walking")
+
+    monkeypatch.setattr(aztec, "count_tilings", refuse)
+    monkeypatch.setattr(asmmod, "x_enumeration", refuse)
+    monkeypatch.setattr(cylindric, "_closed_walks", refuse)
+    assert cli.main(["enumerate"] + argv) == 2
+    assert capsys.readouterr().err == "error: instance cap exceeded: %d > 1000000\n" % charged
+
+
 def kind_cases():
     """(kind, bounds) pairs on which each enumerate --kind is counted and listed."""
     for w in range(9):

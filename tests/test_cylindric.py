@@ -238,6 +238,31 @@ def test_phi_example():
     assert Y.psi(EXAMPLE_PI, gamma, labels) == EXAMPLE_SEQ
 
 
+# phi and psi each stop after (weight + T + 2)(2T + 2) + 10 steps: at T = 5,
+# 706 for the example CPP of weight 51 and 406 for its diagram of weight 26
+
+
+def test_phi_gives_up_after_its_step_limit(monkeypatch):
+    # with no column deleted, rotations keep the example's distinct shapes,
+    # so the sequence never becomes constant
+    monkeypatch.setattr(Y, "down_step", lambda seq, i: (0, seq))
+    with pytest.raises(AssertionError, match=r"^no end after 706 steps$"):
+        Y.phi(EXAMPLE_PI, EXAMPLE_SEQ)
+
+
+def test_psi_gives_up_after_its_step_limit(monkeypatch):
+    # a schedule that only rotates never reaches a labelled box
+    def rotate_forever(pi):
+        while True:
+            yield None, None
+
+    gamma, labels = Y.phi(EXAMPLE_PI, EXAMPLE_SEQ)
+    assert Y.alcd_weight(EXAMPLE_PI, labels) == 26
+    monkeypatch.setattr(Y, "sort_steps", rotate_forever)
+    with pytest.raises(AssertionError, match=r"^no end after 406 steps$"):
+        Y.psi(EXAMPLE_PI, gamma, labels)
+
+
 def test_sort_steps_visit_each_box_once():
     # every box of the diagram is labelled by exactly one deletion
     for pi in mixed_profiles(6):

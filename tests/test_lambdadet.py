@@ -12,7 +12,7 @@ from partition_forge.lambdadet import (
     lp_rename,
     shifted,
 )
-from pyramid_model import Laurent, symbolic_pyramid
+from pyramid_model import Laurent, corollary_symbolic, symbolic_pyramid
 
 
 def identity(v):
@@ -146,7 +146,8 @@ def test_a_wrong_form_does_not_condense():
 
 
 def test_term_count_is_boolean_lattice_sum():
-    # one term per pair (B, A): sum over B of 2^(number of -1 entries)
+    # one monomial per pair (B, A), each its own: sum over B of 2^(number of
+    # -1 entries) monomials, all with coefficient 1
     from partition_forge import asm as A
 
     for n in (3, 4):
@@ -155,7 +156,8 @@ def test_term_count_is_boolean_lattice_sum():
                 2 ** sum(1 for row in b for v in row if v == -1)
                 for b in A.enumerate_asms(k)
             )
-            assert len(D.closed_form_terms(n, k)) == want
+            form = D.closed_form_symbolic(n, k)
+            assert len(form) == want and set(form.values()) == {1}
 
 
 def random_matrix(rng, n):
@@ -195,12 +197,20 @@ def unit_base(v):
 def test_corollary_with_unit_base():
     for n in (2, 3):
         apex = symbolic_pyramid(n, unit_base)[n][0][0]
-        assert apex == D.corollary_symbolic(n, identity)
+        assert apex == corollary_symbolic(n, identity)
 
 
 def test_corollary_is_the_closed_form_at_unit_base():
     for n in (1, 2, 3, 4):
-        assert lp_rename(D.closed_form_symbolic(n, n), unit_base) == D.corollary_symbolic(n, identity)
+        assert lp_rename(D.closed_form_symbolic(n, n), unit_base) == corollary_symbolic(n, identity)
+
+
+def test_robbins_rumsey_sum_is_the_renamed_corollary():
+    # the stated sum against the unit-base corollary under one_parameter,
+    # whose (mu + lam) factors become (1 + lam) and whose dual inversions drop
+    for n in range(6):
+        want = lp_rename(corollary_symbolic(n, identity), D.one_parameter)
+        assert D.robbins_rumsey_symbolic(n) == want, n
 
 
 def test_one_parameter_specialization():
@@ -215,7 +225,7 @@ def test_one_parameter_specialization():
         point = {("x", i, j): v for i, row in enumerate(m, 1) for j, v in enumerate(row, 1)}
         point[("l", 0, 0)] = lv
         assert apex == lp_eval(D.robbins_rumsey_symbolic(n), point)
-        assert apex == lp_eval(D.corollary_symbolic(n, identity), D._point(lam, mu, m))
+        assert apex == lp_eval(corollary_symbolic(n, identity), D._point(lam, mu, m))
 
 
 def test_determinant_specialization():
